@@ -6,7 +6,7 @@
 //! help from the code paths that *established* that state, so a bug in
 //! the gate/monitor/mmu-guard plumbing surfaces as a structured
 //! [`Finding`] pointing at the offending GPA/PTE path. DESIGN.md §9
-//! gives the full check → claim (C1–C9) mapping and the encoding each
+//! gives the full check → claim (C1–C8) mapping and the encoding each
 //! check uses.
 //!
 //! The auditor never mutates the machine: every read is a raw physical
@@ -193,7 +193,6 @@ pub fn audit(view: &MachineView) -> AuditReport {
     check_msr_pinning(view, &mut report);
     check_sept_consistency(view, &leaves, &mut report);
     check_ledger_consistency(view, &leaves, &mut report);
-    check_decision_consistency(view, &mut report);
     report
 }
 
@@ -573,93 +572,6 @@ fn check_ledger_consistency(view: &MachineView, leaves: &[LeafMapping], report: 
                 "C8",
                 format!("frame accounted fully unmapped but still reachable: {}", m.detail()),
             ));
-        }
-    }
-}
-
-/// C9 `decision-consistency`: a *live* permission-decision cache (context
-/// and MMU epoch both matching the machine) serves its entries to the
-/// batch fast path with no further checks, so every entry must still be
-/// backed by the state it memoized — each decision is treated as an
-/// individual access, never coalesced, so one stale entry among many
-/// fresh ones is still a finding. Concretely, for each cached decision:
-/// a live TLB entry for the same root/page/class must exist and resolve
-/// to the same frame, a write decision demands that entry be dirty (the
-/// slow path re-walks clean entries for dirty promotion; the fast path
-/// must not have skipped that), and the architectural permission pipeline
-/// evaluated against the *current* registers must still allow the access.
-/// Pages in the `pending_shootdowns` ledger are tolerated staleness,
-/// exactly as in C8. Dead caches (context or epoch mismatch) serve
-/// nothing and are skipped — the fast path re-keys them before use.
-fn check_decision_consistency(view: &MachineView, report: &mut AuditReport) {
-    let machine = view.machine;
-    for (cpu, c) in machine.cpus.iter().enumerate() {
-        let ctx = machine.live_ctx(cpu);
-        let cache = machine.decision_cache(cpu);
-        if !cache.valid_for(&ctx, machine.mmu_epoch()) {
-            continue;
-        }
-        let env = erebor_hw::mmu::MmuEnv {
-            root: c.cr3,
-            cr0: c.cr0,
-            cr4: c.cr4,
-            mode: c.mode,
-            rflags: c.rflags(),
-            pkrs: c.pkrs(),
-        };
-        for (kind, d) in cache.entries() {
-            saturating_bump(&mut report.decision_entries);
-            if machine.shootdown_pending(cpu, ctx.root, d.page) {
-                continue; // recorded (tolerated) staleness
-            }
-            let va = VirtAddr(d.page << 12);
-            let Some(e) = machine.tlbs[cpu].lookup(ctx.root, va, kind) else {
-                report.findings.push(Finding::new(
-                    "decision-consistency",
-                    "C9",
-                    format!(
-                        "cpu {cpu} live decision cache holds {kind:?} page {:#x} -> frame {:#x} \
-                         with no backing TLB entry",
-                        d.page, d.frame.0
-                    ),
-                ));
-                continue;
-            };
-            if e.frame != d.frame {
-                report.findings.push(Finding::new(
-                    "decision-consistency",
-                    "C9",
-                    format!(
-                        "cpu {cpu} decision for {kind:?} page {:#x} resolves to frame {:#x} but \
-                         the TLB holds frame {:#x}",
-                        d.page, d.frame.0, e.frame.0
-                    ),
-                ));
-                continue;
-            }
-            if kind == erebor_hw::AccessKind::Write && !e.dirty {
-                report.findings.push(Finding::new(
-                    "decision-consistency",
-                    "C9",
-                    format!(
-                        "cpu {cpu} write decision for page {:#x} backed by a clean TLB entry \
-                         (dirty promotion skipped)",
-                        d.page
-                    ),
-                ));
-                continue;
-            }
-            if let Err(fault) = erebor_hw::mmu::check_access(&env, va, kind, e.eff) {
-                report.findings.push(Finding::new(
-                    "decision-consistency",
-                    "C9",
-                    format!(
-                        "cpu {cpu} decision grants {kind:?} to page {:#x} but the live pipeline \
-                         denies it: {fault:?}",
-                        d.page
-                    ),
-                ));
-            }
         }
     }
 }

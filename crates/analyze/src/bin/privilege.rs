@@ -3,7 +3,7 @@
 //!
 //! Scans the workspace source from the manifest root (or a path given as
 //! the first argument), checks every privileged-symbol reference against
-//! the declared privilege manifest (DESIGN.md §14), prints each finding,
+//! the declared privilege manifest (DESIGN.md §13), prints each finding,
 //! emits the machine-readable report on the `EREBOR_JSON:` marker line,
 //! and exits non-zero when any rule fired **or any waiver comment exists
 //! in the tree** — the CI baseline is zero findings, zero waivers. Pass

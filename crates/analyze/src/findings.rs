@@ -78,9 +78,6 @@ pub struct AuditReport {
     pub tlb_entries: u64,
     /// IDT vectors resolved and checked.
     pub idt_entries: u64,
-    /// Live permission-decision cache entries cross-checked against the
-    /// TLB and the register pipeline.
-    pub decision_entries: u64,
 }
 
 impl AuditReport {
@@ -103,7 +100,6 @@ impl AuditReport {
         self.pte_reads
             .saturating_add(self.tlb_entries)
             .saturating_add(self.idt_entries)
-            .saturating_add(self.decision_entries)
     }
 
     /// Deterministic JSON document.
@@ -119,13 +115,12 @@ impl AuditReport {
         let _ = write!(
             s,
             "],\"roots_walked\":{},\"leaf_mappings\":{},\"pte_reads\":{},\
-             \"tlb_entries\":{},\"idt_entries\":{},\"decision_entries\":{},\"work\":{}}}",
+             \"tlb_entries\":{},\"idt_entries\":{},\"work\":{}}}",
             self.roots_walked,
             self.leaf_mappings,
             self.pte_reads,
             self.tlb_entries,
             self.idt_entries,
-            self.decision_entries,
             self.work()
         );
         s

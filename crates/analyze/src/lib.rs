@@ -29,7 +29,7 @@
 //!   trusted core (`erebor-hw`, the monitor, the TDX substrate, the
 //!   state auditor, the platform embedder). Zero findings is the CI
 //!   baseline; waivers are refused by default. Run by
-//!   `cargo run -p erebor-analyze --bin privilege` (DESIGN.md §14).
+//!   `cargo run -p erebor-analyze --bin privilege` (DESIGN.md §13).
 //!
 //! Everything reports through the structured types in [`findings`] with
 //! hand-rolled, byte-stable JSON like the rest of the workspace.

@@ -1,7 +1,7 @@
 //! The privilege-separation auditor: enforce the hw/monitor trust
 //! boundary statically, over the whole workspace source.
 //!
-//! Erebor's security argument (DESIGN.md §14) rests on a tiny privileged
+//! Erebor's security argument (DESIGN.md §13) rests on a tiny privileged
 //! layer — the raw CPU/frame/MSR/PTE state in `erebor-hw`, the monitor's
 //! entry/gate stubs, the isolation backends — mediating everything else.
 //! ERIM proves its boundary by scanning binaries for privilege-mutating
@@ -113,8 +113,6 @@ pub const PRIVILEGED_SYMBOLS: &[PrivSymbol] = &[
     sym("tlb_shootdown", true, "tlb-ipi", "cross-core invalidation IPIs"),
     sym("flush_tlb", true, "tlb-ipi", "full TLB flushes"),
     sym("invalidate_page", true, "tlb-ipi", "targeted TLB invalidation"),
-    sym("bump_mmu_epoch", true, "tlb-ipi", "decision-cache epoch maintenance"),
-    sym("force_mmu_epoch", true, "tlb-ipi", "decision-cache epoch override"),
     sym("pending_shootdowns", true, "tlb-ipi", "the dropped-IPI staleness ledger"),
     sym("pending_asid_shootdowns", true, "tlb-ipi", "the coalesced staleness ledger"),
 ];
@@ -277,6 +275,9 @@ pub struct PrivilegeReport {
     pub lines_scanned: u64,
     /// Scanned files inside the manifest.
     pub privileged_files: u64,
+    /// Non-test code lines in the manifest's files (see [`code_lines`]):
+    /// the size of the privileged core.
+    pub privileged_lines: u64,
     /// Manifest entries matched by at least one scanned file.
     pub privileged_modules: u64,
     /// The full reference graph.
@@ -321,12 +322,14 @@ impl PrivilegeReport {
         let _ = write!(
             s,
             "],\"count\":{},\"waivers\":{},\"files_scanned\":{},\"lines_scanned\":{},\
-             \"privileged_files\":{},\"privileged_modules\":{},\"graph\":{{",
+             \"privileged_files\":{},\"privileged_lines\":{},\"privileged_modules\":{},\
+             \"graph\":{{",
             self.findings.len(),
             self.waivers_seen,
             self.files_scanned,
             self.lines_scanned,
             self.privileged_files,
+            self.privileged_lines,
             self.privileged_modules
         );
         for (i, (module, n)) in self.graph_counts().iter().enumerate() {
@@ -495,6 +498,24 @@ pub fn scan_source(
     (refs, findings, waivers)
 }
 
+/// Lines of `content` that carry code outside `#[cfg(test)]` regions:
+/// blank, comment-only and test lines do not count.
+#[must_use]
+pub fn code_lines(content: &str) -> u64 {
+    let mut stripper = CodeStripper::new();
+    let mut tracker = TestRegionTracker::new();
+    let mut n = 0u64;
+    for raw in content.lines() {
+        let stripped = stripper.strip(raw);
+        let in_test = tracker.line_starts_in_test() || stripped.contains("#[cfg(test)]");
+        tracker.observe(&stripped);
+        if !in_test && !stripped.trim().is_empty() {
+            n = n.saturating_add(1);
+        }
+    }
+    n
+}
+
 /// Scan the whole workspace (same file set as the source lint) and build
 /// the report. Results are path-sorted and deterministic.
 #[must_use]
@@ -516,6 +537,7 @@ pub fn scan_workspace(root: &Path, policy: WaiverPolicy) -> PrivilegeReport {
             .saturating_add(content.lines().count() as u64);
         if let Some(entry) = manifest_entry(&rel) {
             report.privileged_files = report.privileged_files.saturating_add(1);
+            report.privileged_lines = report.privileged_lines.saturating_add(code_lines(&content));
             matched.insert(entry.path, true);
         }
         let (refs, findings, waivers) = scan_source(&rel, &content, policy);
@@ -658,6 +680,27 @@ mod tests {
         assert_eq!(refs.len(), 2); // .mem. and alloc_frame
         assert!(refs.iter().all(|r| r.module == "erebor-hw::native"));
         assert!(refs.iter().all(|r| r.privileged));
+    }
+
+    #[test]
+    fn code_lines_skip_blank_comment_and_test_lines() {
+        let src = "//! Module docs.\n\
+                   \n\
+                   /// Item docs.\n\
+                   pub fn f() -> u32 {\n\
+                   \x20   // a comment\n\
+                   \x20   /* block */\n\
+                   \x20   1 // trailing comment\n\
+                   }\n\
+                   \n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   fn g() {}\n\
+                   }\n";
+        assert_eq!(code_lines(src), 3);
+        let mut r = PrivilegeReport::default();
+        r.privileged_lines = code_lines(src);
+        assert!(r.json().contains("\"privileged_lines\":3"));
     }
 
     #[test]

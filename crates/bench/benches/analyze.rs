@@ -92,6 +92,7 @@ fn bench_privilege(c: &mut Criterion) {
     c.meta("privilege_waivers", report.waivers_seen as f64);
     c.meta("privilege_files_scanned", report.files_scanned as f64);
     c.meta("privilege_modules", report.privileged_modules as f64);
+    c.meta("privileged_lines", report.privileged_lines as f64);
     c.meta("privilege_work", report.work() as f64);
     c.bench_function("privilege_scan_workspace", |b| {
         b.iter(|| scan_workspace(&root, WaiverPolicy::Refuse));

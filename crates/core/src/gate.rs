@@ -179,11 +179,6 @@ impl EmcGate {
             machine.cpus[cpu].ctx.rip = prev_rip;
             return Err(f);
         }
-        // The EMC world switch is a trace-visible boundary: pin an MMU
-        // epoch so no permission decision cached outside the gate can be
-        // replayed inside it (the PKRS write already changes the context
-        // key; the bump makes the boundary explicit and injector-proof).
-        machine.bump_mmu_epoch();
         Ok(())
     }
 
@@ -253,9 +248,6 @@ impl EmcGate {
             machine.restore_msr(cpu, Msr::Pkrs, cur);
             return Err(f);
         }
-        // Leaving the monitor: any mapping the EMC body touched must not
-        // be served from a pre-gate cached decision (see `enter_gate`).
-        machine.bump_mmu_epoch();
         Ok(())
     }
 

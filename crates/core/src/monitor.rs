@@ -84,9 +84,9 @@ pub struct Monitor {
     /// [`ExecConfig::backend`].
     pub backend: Backend,
     /// Run the post-teardown isolation fence in [`Monitor::kill_sandbox`]
-    /// (alias retag-back, domain revocation, MMU-epoch bump, cpuid-MRU
-    /// drop). Always on in production; the stale-decision regression
-    /// test ablates it to reproduce the bug class.
+    /// (alias retag-back, domain revocation, cpuid-MRU drop). Always on
+    /// in production; the domain-leak regression tests ablate it to
+    /// reproduce the bug class.
     pub kill_fence: bool,
     /// EMC gate state.
     pub gate: EmcGate,
@@ -222,7 +222,7 @@ impl Monitor {
     }
 
     // ==================================================================
-    // Live migration: full-monitor state transfer (§13)
+    // Live migration: full-monitor state transfer (DESIGN.md §12)
     // ==================================================================
 
     /// Serialise the complete monitor for migration: configuration,
@@ -983,10 +983,7 @@ impl Monitor {
         .map_err(map_err)?;
         self.frames.inc_map(f);
         self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-        // EMC mapping lifecycle: a fresh PTE install needs no shootdown
-        // (faults are never cached), but it still pins an MMU epoch so
-        // batch fast paths revalidate at the next opportunity.
-        machine.bump_mmu_epoch();
+        // A fresh PTE install needs no shootdown: faults are never cached.
         Ok(f)
     }
 
@@ -1929,14 +1926,11 @@ impl Monitor {
     ///    pin a now-free pkey under PKS.
     /// 2. Revoke the sandbox's isolation domain so the backend can
     ///    reuse it.
-    /// 3. Bump the machine MMU epoch and drop the cpuid MRU: no core
-    ///    may serve a cached permission decision (or cpuid answer) for
-    ///    the dead sandbox's (CR3, domain) pair. The per-VA shootdowns
-    ///    above close the TLB, but a zero-confined-page sandbox issues
-    ///    none — the epoch bump is what makes the fence unconditional.
+    /// 3. Drop the cpuid MRU so no cached cpuid answer outlives the
+    ///    sandbox.
     ///
-    /// `kill_fence = false` ablates all of it; the stale-decision
-    /// regression test reproduces the bug class that way.
+    /// `kill_fence = false` ablates all of it; the domain-leak
+    /// regression tests reproduce the bug class that way.
     fn kill_fence_epilogue(
         &mut self,
         machine: &mut Machine,
@@ -1952,7 +1946,6 @@ impl Monitor {
         }
         self.backend.free_domain(domain).ok();
         self.cpuid_mru = None;
-        machine.bump_mmu_epoch();
     }
 
     // ==================================================================

@@ -1,8 +1,8 @@
 //! Per-core handles over the machine's mutable core-local state.
 //!
 //! Everything a single logical core mutates on its own behalf — its
-//! register file, software TLB, supervisor shadow stack, permission-
-//! decision cache, and interrupt nesting depth — lives in per-core slots
+//! register file, software TLB, supervisor shadow stack and interrupt
+//! nesting depth — lives in per-core slots
 //! of the [`Machine`]'s vectors. A [`CoreHandle`] borrows exactly those
 //! slots, disjointly from DRAM and from every other core, which:
 //!
@@ -15,15 +15,14 @@
 //!   per core simultaneously, each independently mutable, because the
 //!   borrows are provably disjoint.
 //!
-//! Machine-global state (DRAM, cycle accounting, the MMU epoch, the
-//! staleness ledgers, stats) stays on [`Machine`] and is *not* reachable
+//! Machine-global state (DRAM, cycle accounting, the staleness ledgers,
+//! stats) stays on [`Machine`] and is *not* reachable
 //! through a handle — any operation needing both (a TLB fill, a
 //! shootdown) belongs on `Machine` itself, which is exactly the set of
 //! operations that must remain serialized.
 
 use crate::cet::ShadowStack;
 use crate::cpu::{Cpu, Machine};
-use crate::decision::DecisionCache;
 use crate::tlb::Tlb;
 
 /// Exclusive access to one core's core-local mutable state. Obtained
@@ -39,8 +38,6 @@ pub struct CoreHandle<'m> {
     pub tlb: &'m mut Tlb,
     /// The core's supervisor shadow stack.
     pub sstk: &'m mut ShadowStack,
-    /// The core's permission-decision cache (batch fast path).
-    pub decisions: &'m mut DecisionCache,
     /// The core's interrupt nesting depth.
     pub interrupt_depth: &'m mut u32,
 }

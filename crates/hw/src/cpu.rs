@@ -24,7 +24,6 @@
 
 use crate::cet::{EndbrRegistry, ShadowStack};
 use crate::cycles::{Bucket, Costs, CycleCounter};
-use crate::decision::{CachedCtx, DecisionCache, FastpathStats};
 use crate::fault::{AccessKind, CpReason, Fault};
 use crate::idt::Idtr;
 use crate::inject::{self, CoreView, InjectionPoint, InjectorHandle};
@@ -171,15 +170,6 @@ pub struct Machine {
     /// Fast-path switch: `false` forces every translation through the
     /// walker (ablation + the TLB-equivalence property test).
     pub tlb_enabled: bool,
-    /// Batch fast-path switch: `false` forces [`Machine::run_batch`] to
-    /// execute every op through the ordinary slow path (ablation and the
-    /// differential equivalence suite). The decision cache is consulted
-    /// only when both this and [`Machine::tlb_enabled`] are set; either
-    /// way the observable machine state evolves identically.
-    pub fastpath_enabled: bool,
-    /// Fast-path observability counters. Kept outside [`HwStats`] so
-    /// fastpath-on and fastpath-off runs produce byte-identical snapshots.
-    pub fastpath: FastpathStats,
     /// MMU-trace switch: when set, TLB maintenance and cached-translation
     /// hits record gated trace events ([`TraceEvent::TlbShootdown`],
     /// [`TraceEvent::TlbInvlpg`], [`TraceEvent::TlbFlush`],
@@ -202,12 +192,6 @@ pub struct Machine {
     /// ledger rows from a batched teardown.
     pending_asid_shootdowns: BTreeSet<(usize, u64)>,
     interrupt_depth: Vec<u32>,
-    /// Per-core permission-decision caches for the batch fast path.
-    decisions: Vec<DecisionCache>,
-    /// Machine-global MMU epoch: bumped by every TLB-maintenance action
-    /// and every `pending_shootdowns` ledger change, so a decision cache
-    /// keyed under an older epoch can never serve a stale verdict.
-    mmu_epoch: u64,
 }
 
 impl Machine {
@@ -229,16 +213,12 @@ impl Machine {
             stats: HwStats::default(),
             trace: TraceBuffer::new(cores),
             tlb_enabled: true,
-            fastpath_enabled: true,
-            fastpath: FastpathStats::default(),
             mmu_trace: false,
             sensitive_domains: BTreeSet::new(),
             injector: None,
             pending_shootdowns: BTreeSet::new(),
             pending_asid_shootdowns: BTreeSet::new(),
             interrupt_depth: vec![0; cores],
-            decisions: (0..cores).map(|_| DecisionCache::new()).collect(),
-            mmu_epoch: 0,
         }
     }
 
@@ -349,53 +329,6 @@ impl Machine {
             || self.pending_asid_shootdowns.contains(&(cpu, 0))
     }
 
-    /// Current MMU epoch (see [`Machine::bump_mmu_epoch`]).
-    #[must_use]
-    pub fn mmu_epoch(&self) -> u64 {
-        self.mmu_epoch
-    }
-
-    /// Advance the MMU epoch, invalidating every permission-decision cache
-    /// on its next validity check. Called by every TLB-maintenance path
-    /// and every `pending_shootdowns` ledger change; also exposed so the
-    /// platform layers (gate / monitor / EMC lifecycle) can pin epochs at
-    /// mapping-visible boundaries. Redundant bumps are harmless: the bump
-    /// itself has no observable side effects (no cycles, no counters, no
-    /// trace), only extra decision-cache re-keys.
-    pub fn bump_mmu_epoch(&mut self) {
-        self.mmu_epoch = self.mmu_epoch.wrapping_add(1);
-    }
-
-    /// Test/ablation hook: force the MMU epoch to an arbitrary value. The
-    /// equivalence suite uses this for the epoch-rollover regression, and
-    /// the auditor's red test uses it to *revive* a decision cache that a
-    /// downgrade should have killed — the bug class check C9 exists for.
-    pub fn force_mmu_epoch(&mut self, v: u64) {
-        self.mmu_epoch = v;
-    }
-
-    /// Read-only view of `cpu`'s permission-decision cache (the state
-    /// auditor re-validates every stored decision against the live TLB).
-    #[must_use]
-    pub fn decision_cache(&self, cpu: usize) -> &DecisionCache {
-        &self.decisions[cpu]
-    }
-
-    /// The live register context the decision cache keys on: everything
-    /// [`mmu::check_access`] and the environment builder consult.
-    #[must_use]
-    pub fn live_ctx(&self, cpu: usize) -> CachedCtx {
-        let c = &self.cpus[cpu];
-        CachedCtx {
-            root: c.cr3,
-            cr0: c.cr0.0,
-            cr4: c.cr4.0,
-            pkrs: c.msr(Msr::Pkrs),
-            supervisor: c.mode == CpuMode::Supervisor,
-            ac: c.rflags().ac(),
-        }
-    }
-
     /// Nesting depth of interrupts currently live on `cpu` (incremented
     /// at delivery, decremented at `iret`).
     #[must_use]
@@ -444,8 +377,8 @@ impl Machine {
     /// the one cached translation, full-ASID rows flush the whole core —
     /// exactly what the in-flight IPI would have done had it arrived.
     /// On a machine with empty ledgers (every non-chaos run) this is a
-    /// complete no-op: no cycles, no counters, no trace, no epoch bump,
-    /// so migration stays invisible to same-seed equivalence.
+    /// complete no-op: no cycles, no counters, no trace, so migration
+    /// stays invisible to same-seed equivalence.
     pub fn quiesce_for_migration(&mut self) -> (usize, usize) {
         if self.pending_shootdowns.is_empty() && self.pending_asid_shootdowns.is_empty() {
             return (0, 0);
@@ -460,9 +393,6 @@ impl Machine {
             // address space (or dropped broadcast) may have left stale.
             self.tlbs[*cpu].flush_all();
         }
-        // The TLBs changed under the decision caches: kill any cached
-        // verdict derived from the dropped entries.
-        self.bump_mmu_epoch();
         (pages.len(), asids.len())
     }
 
@@ -548,10 +478,6 @@ impl Machine {
         if self.tlb_enabled {
             self.stats.tlb_misses = self.stats.tlb_misses.saturating_add(1);
             self.tlbs[cpu].insert(env.root, va, kind, &t);
-            // Slot coupling: no decision may outlive the TLB entry it was
-            // derived from, so the fill clears the decisions its slot backs
-            // (conflict evictions and same-page refills alike).
-            self.decisions[cpu].on_tlb_fill(va, kind);
         }
         Ok(t.pa)
     }
@@ -658,10 +584,9 @@ impl Machine {
     /// exposed for raw-CR3 boot/ablation paths that bypass
     /// [`Machine::write_cr3`]).
     pub fn flush_tlb(&mut self, cpu: usize) {
-        // Machine-global effects first (epoch, stats, ledgers, trace) —
-        // the core-local mutation itself goes through the core's handle,
-        // the same seam parallel execution will take.
-        self.bump_mmu_epoch();
+        // Machine-global effects first (stats, ledgers, trace) — the
+        // core-local mutation itself goes through the core's handle, the
+        // same seam parallel execution will take.
         self.stats.tlb_flushes = self.stats.tlb_flushes.saturating_add(1);
         self.pending_shootdowns.retain(|&(c, _)| c != cpu);
         self.pending_asid_shootdowns.retain(|&(c, _)| c != cpu);
@@ -681,7 +606,6 @@ impl Machine {
         if self.cpus[cpu].mode != CpuMode::Supervisor {
             return Err(Fault::GeneralProtection("invlpg in user mode"));
         }
-        self.bump_mmu_epoch();
         self.cycles.charge(self.costs.invlpg);
         self.core_split(cpu).tlb.invalidate_page(va);
         self.stats.tlb_page_invalidations = self.stats.tlb_page_invalidations.saturating_add(1);
@@ -758,9 +682,6 @@ impl Machine {
         if vas.is_empty() {
             return Ok(());
         }
-        // One bump covers every TLB/ledger mutation below: decisions are
-        // only consulted between batch ops, never mid-shootdown.
-        self.bump_mmu_epoch();
         let full = vas.len() > Self::SHOOTDOWN_FULL_FLUSH_CEILING;
         if self.mmu_trace {
             // Revocation edge for the happens-before race detector: the
@@ -872,15 +793,14 @@ impl Machine {
     // ----- per-core handles ---------------------------------------------
 
     /// Split out one core's core-local slots ([`CoreHandle`] fields).
-    /// Lives here (not in `core_handle`) because the decision-cache and
-    /// interrupt-depth vectors are module-private.
+    /// Lives here (not in `core_handle`) because the interrupt-depth
+    /// vector is module-private.
     pub(crate) fn core_split(&mut self, cpu: usize) -> crate::core_handle::CoreHandle<'_> {
         crate::core_handle::CoreHandle {
             index: cpu,
             cpu: &mut self.cpus[cpu],
             tlb: &mut self.tlbs[cpu],
             sstk: &mut self.sstk[cpu],
-            decisions: &mut self.decisions[cpu],
             interrupt_depth: &mut self.interrupt_depth[cpu],
         }
     }
@@ -891,23 +811,18 @@ impl Machine {
         let cpus = self.cpus.iter_mut();
         let tlbs = self.tlbs.iter_mut();
         let sstk = self.sstk.iter_mut();
-        let decisions = self.decisions.iter_mut();
         let depths = self.interrupt_depth.iter_mut();
         cpus.zip(tlbs)
             .zip(sstk)
-            .zip(decisions)
             .zip(depths)
             .enumerate()
             .map(
-                |(index, ((((cpu, tlb), sstk), decisions), interrupt_depth))| {
-                    crate::core_handle::CoreHandle {
-                        index,
-                        cpu,
-                        tlb,
-                        sstk,
-                        decisions,
-                        interrupt_depth,
-                    }
+                |(index, (((cpu, tlb), sstk), interrupt_depth))| crate::core_handle::CoreHandle {
+                    index,
+                    cpu,
+                    tlb,
+                    sstk,
+                    interrupt_depth,
                 },
             )
             .collect()
@@ -1190,409 +1105,6 @@ impl Machine {
     }
 }
 
-/// One element of a straight-line batch program for
-/// [`Machine::run_batch`]. Each op has *exactly* the semantics of the
-/// corresponding `Machine` method; the batch form only lets the executor
-/// skip redundant permission-pipeline work between state changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchOp {
-    /// Permission-probe an access ([`Machine::probe`]).
-    Probe {
-        /// Probed address.
-        va: VirtAddr,
-        /// Access kind.
-        kind: AccessKind,
-    },
-    /// Checked 8-byte load ([`Machine::read_u64`]); the value is folded
-    /// into [`BatchOutcome::digest`].
-    ReadU64 {
-        /// Load address.
-        va: VirtAddr,
-    },
-    /// Checked 8-byte store ([`Machine::write_u64`]).
-    WriteU64 {
-        /// Store address.
-        va: VirtAddr,
-        /// Value to store.
-        v: u64,
-    },
-    /// `wrmsr` ([`Machine::wrmsr`]) — a state change: the fast path
-    /// revalidates its context afterwards.
-    Wrmsr {
-        /// Target MSR.
-        msr: Msr,
-        /// Value.
-        v: u64,
-    },
-    /// `mov %r, %cr0` ([`Machine::write_cr0`]).
-    WriteCr0 {
-        /// Value.
-        v: u64,
-    },
-    /// `mov %r, %cr3` ([`Machine::write_cr3`]) — flushes the TLB and
-    /// bumps the MMU epoch.
-    WriteCr3 {
-        /// New page-table root.
-        root: Frame,
-    },
-    /// `mov %r, %cr4` ([`Machine::write_cr4`]).
-    WriteCr4 {
-        /// Value.
-        v: u64,
-    },
-    /// `invlpg` ([`Machine::invalidate_page`]) — bumps the MMU epoch, so
-    /// a batch containing one exercises invalidation-during-batch.
-    Invlpg {
-        /// Address whose page is invalidated.
-        va: VirtAddr,
-    },
-    /// `stac` ([`Machine::stac`]) — RFLAGS.AC is part of the context key.
-    Stac,
-    /// `clac` ([`Machine::clac`]).
-    Clac,
-}
-
-/// Result of [`Machine::run_batch`]: how far the batch got, a fold of
-/// every loaded value, and the fault that stopped it (if any). Equal
-/// outcomes plus equal machine state is what the differential suite
-/// asserts across fastpath-on and fastpath-off runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Ops completed before the first fault (== `ops.len()` if none).
-    pub executed: usize,
-    /// Rotate-xor fold of every value loaded by a `ReadU64` op.
-    pub digest: u64,
-    /// The fault that stopped the batch, if any.
-    pub fault: Option<Fault>,
-}
-
-impl Machine {
-    // ----- batched execution fast path ----------------------------------
-
-    /// Execute a straight-line batch of ops on `cpu`, exactly as if each
-    /// op had been issued through its ordinary [`Machine`] method in
-    /// sequence, stopping at the first fault.
-    ///
-    /// With the fast path enabled (`fastpath_enabled && tlb_enabled`),
-    /// accesses whose allow-verdict is cached in the core's
-    /// [`DecisionCache`] are replayed without rebuilding the MMU
-    /// environment or re-running the permission pipeline, charging and
-    /// counting exactly what the slow TLB-hit path would. Everything else
-    /// falls back to the slow path: decision misses (which then refill),
-    /// privileged ops (`wrmsr`, CR writes, `invlpg`, `stac`/`clac` — each
-    /// forces a context revalidation afterwards, so a mid-batch state
-    /// change or injected fault can never leak a stale verdict), and
-    /// cross-page `u64` accesses. Machine state, cycle totals, cycle
-    /// attribution, `HwStats` and the trace evolve byte-identically
-    /// whether the fast path is on or off; only [`Machine::fastpath`]
-    /// (deliberately outside every snapshot) differs.
-    pub fn run_batch(&mut self, cpu: usize, ops: &[BatchOp]) -> BatchOutcome {
-        self.fastpath.batches = self.fastpath.batches.saturating_add(1);
-        let mut out = BatchOutcome {
-            executed: 0,
-            digest: 0,
-            fault: None,
-        };
-        let fast = self.fastpath_enabled && self.tlb_enabled;
-        // `validated` == the decision cache is known keyed to the live
-        // (ctx, epoch). Accesses never change either, so one validation
-        // covers a whole run of accesses; privileged ops clear it.
-        let mut validated = false;
-        // Deferred side effects of decision hits: with MMU tracing off no
-        // hit records a cycle-stamped event, so hit charges and counters
-        // accumulate locally and flush before any slow-path op (slow ops
-        // can record stamped events) and at batch end. Totals commute, so
-        // the final cycles/attribution/stats are byte-identical to the
-        // eager slow path. With tracing on, hits replay eagerly so each
-        // `TlbHit` carries the exact slow-path stamp.
-        let mut pend_hits = 0u64;
-        let mut pend_mem = 0u64;
-        let mut i = 0usize;
-        'batch: while i < ops.len() {
-            // Deferred-mode hot loop: with tracing off, a run of cached
-            // accesses touches only the decision arrays, DRAM and local
-            // accumulators — the context validation, cost constants and
-            // field borrows are hoisted out of the per-op path. Every
-            // side effect is the same one the generic arm below would
-            // produce; the loop exits (without consuming the op) the
-            // moment an op needs anything more.
-            if fast
-                && !self.mmu_trace
-                && matches!(
-                    ops[i],
-                    BatchOp::Probe { .. } | BatchOp::ReadU64 { .. } | BatchOp::WriteU64 { .. }
-                )
-            {
-                if !validated {
-                    let live = self.live_ctx(cpu);
-                    if !self.decisions[cpu].valid_for(&live, self.mmu_epoch) {
-                        self.decisions[cpu].rekey(live, self.mmu_epoch);
-                        self.fastpath.rekeys = self.fastpath.rekeys.saturating_add(1);
-                    }
-                    validated = true;
-                }
-                let mem_cost = self.costs.mem_op;
-                let dc = &self.decisions[cpu];
-                let mem = &mut self.mem;
-                while i < ops.len() {
-                    match ops[i] {
-                        BatchOp::Probe { va, kind } => {
-                            if dc.lookup(va, kind).is_none() {
-                                break;
-                            }
-                            pend_hits = pend_hits.saturating_add(1);
-                        }
-                        BatchOp::ReadU64 { va }
-                            if va.page_offset() + 8 <= crate::PAGE_SIZE as u64 =>
-                        {
-                            let Some(d) = dc.lookup(va, AccessKind::Read) else {
-                                break;
-                            };
-                            pend_hits = pend_hits.saturating_add(1);
-                            pend_mem = pend_mem.saturating_add(mem_cost);
-                            let pa = crate::PhysAddr(d.frame.base().0 + va.page_offset());
-                            match mem.read_u64(pa) {
-                                Ok(v) => out.digest = out.digest.rotate_left(7) ^ v,
-                                Err(_) => {
-                                    out.fault = Some(Fault::Unrecoverable("read left DRAM"));
-                                    break 'batch;
-                                }
-                            }
-                        }
-                        BatchOp::WriteU64 { va, v }
-                            if va.page_offset() + 8 <= crate::PAGE_SIZE as u64 =>
-                        {
-                            let Some(d) = dc.lookup(va, AccessKind::Write) else {
-                                break;
-                            };
-                            pend_hits = pend_hits.saturating_add(1);
-                            pend_mem = pend_mem.saturating_add(mem_cost);
-                            let pa = crate::PhysAddr(d.frame.base().0 + va.page_offset());
-                            if mem.write_u64(pa, v).is_err() {
-                                out.fault = Some(Fault::Unrecoverable("write left DRAM"));
-                                break 'batch;
-                            }
-                        }
-                        // Cross-page u64 accesses and privileged ops take
-                        // the generic path below.
-                        _ => break,
-                    }
-                    out.executed = out.executed.saturating_add(1);
-                    i += 1;
-                }
-                if i >= ops.len() {
-                    break 'batch;
-                }
-            }
-            let step: Result<Option<u64>, Fault> = match ops[i] {
-                BatchOp::Probe { va, kind } => {
-                    if fast
-                        && self
-                            .fast_hit(cpu, &mut validated, va, kind, &mut pend_hits)
-                            .is_some()
-                    {
-                        Ok(None)
-                    } else {
-                        self.flush_pending(&mut pend_hits, &mut pend_mem);
-                        let r = self.probe(cpu, va, kind);
-                        if r.is_ok() {
-                            self.refill_decision(cpu, validated, va, kind);
-                        }
-                        self.fastpath.slow_ops = self.fastpath.slow_ops.saturating_add(1);
-                        r.map(|()| None)
-                    }
-                }
-                BatchOp::ReadU64 { va } => {
-                    let in_page = va.page_offset() + 8 <= crate::PAGE_SIZE as u64;
-                    let hit = if fast && in_page {
-                        self.fast_hit(cpu, &mut validated, va, AccessKind::Read, &mut pend_hits)
-                    } else {
-                        None
-                    };
-                    if let Some(frame) = hit {
-                        let pa = crate::PhysAddr(frame.base().0 + va.page_offset());
-                        if self.mmu_trace {
-                            self.cycles.charge(self.costs.mem_op);
-                        } else {
-                            pend_mem = pend_mem.saturating_add(self.costs.mem_op);
-                        }
-                        self.mem
-                            .read_u64(pa)
-                            .map(Some)
-                            .map_err(|_| Fault::Unrecoverable("read left DRAM"))
-                    } else {
-                        self.flush_pending(&mut pend_hits, &mut pend_mem);
-                        let r = self.read_u64(cpu, va);
-                        if r.is_ok() && in_page {
-                            self.refill_decision(cpu, validated, va, AccessKind::Read);
-                        }
-                        self.fastpath.slow_ops = self.fastpath.slow_ops.saturating_add(1);
-                        r.map(Some)
-                    }
-                }
-                BatchOp::WriteU64 { va, v } => {
-                    let in_page = va.page_offset() + 8 <= crate::PAGE_SIZE as u64;
-                    let hit = if fast && in_page {
-                        self.fast_hit(cpu, &mut validated, va, AccessKind::Write, &mut pend_hits)
-                    } else {
-                        None
-                    };
-                    if let Some(frame) = hit {
-                        let pa = crate::PhysAddr(frame.base().0 + va.page_offset());
-                        if self.mmu_trace {
-                            self.cycles.charge(self.costs.mem_op);
-                        } else {
-                            pend_mem = pend_mem.saturating_add(self.costs.mem_op);
-                        }
-                        self.mem
-                            .write_u64(pa, v)
-                            .map(|()| None)
-                            .map_err(|_| Fault::Unrecoverable("write left DRAM"))
-                    } else {
-                        self.flush_pending(&mut pend_hits, &mut pend_mem);
-                        let r = self.write_u64(cpu, va, v);
-                        if r.is_ok() && in_page {
-                            self.refill_decision(cpu, validated, va, AccessKind::Write);
-                        }
-                        self.fastpath.slow_ops = self.fastpath.slow_ops.saturating_add(1);
-                        r.map(|()| None)
-                    }
-                }
-                BatchOp::Wrmsr { msr, v } => {
-                    self.slow_privileged(&mut validated, &mut pend_hits, &mut pend_mem);
-                    self.wrmsr(cpu, msr, v).map(|()| None)
-                }
-                BatchOp::WriteCr0 { v } => {
-                    self.slow_privileged(&mut validated, &mut pend_hits, &mut pend_mem);
-                    self.write_cr0(cpu, v).map(|()| None)
-                }
-                BatchOp::WriteCr3 { root } => {
-                    self.slow_privileged(&mut validated, &mut pend_hits, &mut pend_mem);
-                    self.write_cr3(cpu, root).map(|()| None)
-                }
-                BatchOp::WriteCr4 { v } => {
-                    self.slow_privileged(&mut validated, &mut pend_hits, &mut pend_mem);
-                    self.write_cr4(cpu, v).map(|()| None)
-                }
-                BatchOp::Invlpg { va } => {
-                    self.slow_privileged(&mut validated, &mut pend_hits, &mut pend_mem);
-                    self.invalidate_page(cpu, va).map(|()| None)
-                }
-                BatchOp::Stac => {
-                    self.slow_privileged(&mut validated, &mut pend_hits, &mut pend_mem);
-                    self.stac(cpu).map(|()| None)
-                }
-                BatchOp::Clac => {
-                    self.slow_privileged(&mut validated, &mut pend_hits, &mut pend_mem);
-                    self.clac(cpu).map(|()| None)
-                }
-            };
-            match step {
-                Ok(loaded) => {
-                    if let Some(v) = loaded {
-                        out.digest = out.digest.rotate_left(7) ^ v;
-                    }
-                    out.executed = out.executed.saturating_add(1);
-                    i += 1;
-                }
-                Err(f) => {
-                    out.fault = Some(f);
-                    break 'batch;
-                }
-            }
-        }
-        self.flush_pending(&mut pend_hits, &mut pend_mem);
-        out
-    }
-
-    /// Try to serve an access from the core's decision cache, replaying
-    /// (or deferring, see [`Machine::run_batch`]) the slow TLB-hit path's
-    /// exact side effects. `None` means "take the slow path" — the cache
-    /// is (re)keyed as a side effect, so the slow path's refill lands in a
-    /// live cache.
-    fn fast_hit(
-        &mut self,
-        cpu: usize,
-        validated: &mut bool,
-        va: VirtAddr,
-        kind: AccessKind,
-        pend_hits: &mut u64,
-    ) -> Option<Frame> {
-        if !*validated {
-            let live = self.live_ctx(cpu);
-            if !self.decisions[cpu].valid_for(&live, self.mmu_epoch) {
-                self.decisions[cpu].rekey(live, self.mmu_epoch);
-                self.fastpath.rekeys = self.fastpath.rekeys.saturating_add(1);
-            }
-            *validated = true;
-        }
-        let d = self.decisions[cpu].lookup(va, kind)?;
-        if self.mmu_trace {
-            self.stats.tlb_hits = self.stats.tlb_hits.saturating_add(1);
-            self.fastpath.decision_hits = self.fastpath.decision_hits.saturating_add(1);
-            self.cycles.charge_to(Bucket::PageWalk, self.costs.tlb_hit);
-            let root = self.cpus[cpu].cr3.0;
-            self.trace_event(
-                cpu,
-                TraceEvent::TlbHit {
-                    root,
-                    page: va.0 >> 12,
-                },
-            );
-        } else {
-            *pend_hits = pend_hits.saturating_add(1);
-        }
-        Some(d.frame)
-    }
-
-    /// Flush side effects deferred by decision hits (see
-    /// [`Machine::run_batch`]): counters and cycle charges accumulate
-    /// while no stamped event can observe them, and land here before any
-    /// slow-path op runs.
-    fn flush_pending(&mut self, pend_hits: &mut u64, pend_mem: &mut u64) {
-        if *pend_hits > 0 {
-            self.stats.tlb_hits = self.stats.tlb_hits.saturating_add(*pend_hits);
-            self.fastpath.decision_hits = self.fastpath.decision_hits.saturating_add(*pend_hits);
-            self.cycles
-                .charge_to(Bucket::PageWalk, pend_hits.saturating_mul(self.costs.tlb_hit));
-            *pend_hits = 0;
-        }
-        if *pend_mem > 0 {
-            self.cycles.charge(*pend_mem);
-            *pend_mem = 0;
-        }
-    }
-
-    /// Bookkeeping shared by every privileged batch op: flush deferred hit
-    /// effects (the op may record a stamped event) and drop the context
-    /// validation (the op may change registers or the MMU epoch — this is
-    /// the slow-path fallback on any state change or injected fault).
-    fn slow_privileged(&mut self, validated: &mut bool, pend_hits: &mut u64, pend_mem: &mut u64) {
-        self.flush_pending(pend_hits, pend_mem);
-        *validated = false;
-        self.fastpath.slow_ops = self.fastpath.slow_ops.saturating_add(1);
-    }
-
-    /// After a successful slow-path access inside a batch, copy the
-    /// verdict into the decision cache — but only when the cache is known
-    /// keyed to the live context (`validated`), so a verdict computed
-    /// under one register state can never be served under another. Write
-    /// decisions additionally require the backing TLB entry to be dirty,
-    /// because a write hit on a clean entry must re-walk for dirty
-    /// promotion.
-    fn refill_decision(&mut self, cpu: usize, validated: bool, va: VirtAddr, kind: AccessKind) {
-        if !validated {
-            return;
-        }
-        let root = self.cpus[cpu].cr3;
-        if let Some(e) = self.tlbs[cpu].lookup(root, va, kind) {
-            if kind != AccessKind::Write || e.dirty {
-                self.decisions[cpu].fill(va, kind, e.frame);
-            }
-        }
-    }
-}
-
 /// Crate-internal constructor for the migration importer: `Cpu` keeps
 /// its MSR map private, so rebuilding one lives here.
 #[allow(clippy::too_many_arguments)]
@@ -1629,16 +1141,12 @@ pub(crate) fn machine_set_private(
     pending_shootdowns: BTreeSet<(usize, u64)>,
     pending_asid_shootdowns: BTreeSet<(usize, u64)>,
     interrupt_depth: Vec<u32>,
-    decisions: Vec<DecisionCache>,
-    mmu_epoch: u64,
 ) {
     m.sensitive_domains = sensitive_domains;
     m.injector = None;
     m.pending_shootdowns = pending_shootdowns;
     m.pending_asid_shootdowns = pending_asid_shootdowns;
     m.interrupt_depth = interrupt_depth;
-    m.decisions = decisions;
-    m.mmu_epoch = mmu_epoch;
 }
 
 /// Test hook: plant staleness-ledger rows the way a chaos-dropped IPI
@@ -2037,118 +1545,6 @@ mod tests {
         assert_eq!(m.stats.tlb_hits, 0);
         assert_eq!(m.stats.tlb_misses, 0, "off means uncounted too");
         assert_eq!(m.tlbs[0].occupancy(), 0);
-    }
-
-    // ----- batched fast path --------------------------------------------
-
-    fn batch_machine() -> Machine {
-        let mut m = machine();
-        m.allow_sensitive(Domain::Kernel);
-        map(&mut m, 0xffff_8000_0000_0000u64, PteFlags::kernel_rw(0));
-        map(&mut m, 0xffff_8000_0000_1000u64, PteFlags::kernel_rw(0));
-        map(&mut m, 0xffff_8000_0000_2000u64, PteFlags::kernel_ro(0));
-        m
-    }
-
-    #[test]
-    fn run_batch_on_and_off_evolve_identically() {
-        let a = VirtAddr(0xffff_8000_0000_0000);
-        let b = VirtAddr(0xffff_8000_0000_1008);
-        let ro = VirtAddr(0xffff_8000_0000_2000);
-        let ops = vec![
-            BatchOp::WriteU64 { va: a, v: 0x1111 },
-            BatchOp::ReadU64 { va: a },
-            BatchOp::ReadU64 { va: a },
-            BatchOp::WriteU64 { va: b, v: 0x2222 },
-            BatchOp::ReadU64 { va: b },
-            BatchOp::Probe {
-                va: ro,
-                kind: AccessKind::Read,
-            },
-            BatchOp::Invlpg { va: a },
-            BatchOp::ReadU64 { va: a },
-            BatchOp::ReadU64 { va: a },
-            BatchOp::WriteU64 { va: ro, v: 1 }, // faults: RO page, WP set
-            BatchOp::ReadU64 { va: b },         // never reached
-        ];
-        let mut fast = batch_machine();
-        let mut slow = batch_machine();
-        slow.fastpath_enabled = false;
-        let of = fast.run_batch(0, &ops);
-        let os = slow.run_batch(0, &ops);
-        assert_eq!(of, os);
-        assert_eq!(of.executed, 9);
-        assert!(matches!(of.fault, Some(Fault::PageFault { .. })));
-        assert_eq!(fast.cycles.total(), slow.cycles.total());
-        assert_eq!(fast.stats, slow.stats);
-        assert_eq!(fast.tlbs[0].occupancy(), slow.tlbs[0].occupancy());
-        assert!(fast.fastpath.decision_hits > 0, "fast path actually used");
-        assert_eq!(slow.fastpath.decision_hits, 0);
-    }
-
-    #[test]
-    fn decision_cache_replays_hits_and_register_writes_revalidate() {
-        let mut m = batch_machine();
-        let va = VirtAddr(0xffff_8000_0000_0000);
-        let warm = [
-            BatchOp::WriteU64 { va, v: 7 },
-            BatchOp::ReadU64 { va },
-            BatchOp::ReadU64 { va },
-        ];
-        let o = m.run_batch(0, &warm);
-        assert_eq!(o.fault, None);
-        assert_eq!(m.fastpath.decision_hits, 1, "third op hit the cache");
-        assert!(m.decision_cache(0).occupancy() >= 2);
-        // A wrmsr mid-batch is a state change: the context must be
-        // revalidated, and the PKS downgrade must be enforced.
-        m.cpus[0].domain = Domain::Monitor;
-        m.allow_sensitive(Domain::Monitor);
-        let key0_denied = PkrsPerms::GRANT_ALL.with_access_disabled(0).0;
-        let ops = [
-            BatchOp::ReadU64 { va },
-            BatchOp::Wrmsr {
-                msr: Msr::Pkrs,
-                v: key0_denied,
-            },
-            BatchOp::ReadU64 { va },
-        ];
-        let o = m.run_batch(0, &ops);
-        assert_eq!(o.executed, 2);
-        assert!(
-            o.fault.as_ref().is_some_and(|f| f.is_pf(crate::fault::PfReason::PksAccessDisabled)),
-            "cached decision must not survive the PKRS downgrade: {o:?}"
-        );
-    }
-
-    #[test]
-    fn epoch_rollover_still_invalidates() {
-        let mut m = batch_machine();
-        let va = VirtAddr(0xffff_8000_0000_0000);
-        m.force_mmu_epoch(u64::MAX);
-        let warm = [BatchOp::ReadU64 { va }, BatchOp::ReadU64 { va }];
-        m.run_batch(0, &warm);
-        assert_eq!(m.decision_cache(0).epoch(), u64::MAX);
-        // The bump wraps to 0; a cache keyed at u64::MAX must be dead.
-        m.flush_tlb(0);
-        assert_eq!(m.mmu_epoch(), 0);
-        let misses = m.stats.tlb_misses;
-        m.run_batch(0, &[BatchOp::ReadU64 { va }]);
-        assert_eq!(m.stats.tlb_misses, misses + 1, "re-walked, no stale hit");
-        assert_eq!(m.decision_cache(0).epoch(), 0, "rekeyed to the new epoch");
-    }
-
-    #[test]
-    fn shootdown_between_batches_kills_decisions() {
-        let mut m = batch_machine();
-        let va = VirtAddr(0xffff_8000_0000_0000);
-        m.run_batch(0, &[BatchOp::ReadU64 { va }, BatchOp::ReadU64 { va }]);
-        assert!(m.decision_cache(0).occupancy() > 0);
-        let epoch = m.mmu_epoch();
-        m.tlb_shootdown(0, va).unwrap();
-        assert_ne!(m.mmu_epoch(), epoch, "shootdown bumps the epoch");
-        let misses = m.stats.tlb_misses;
-        m.run_batch(0, &[BatchOp::ReadU64 { va }]);
-        assert_eq!(m.stats.tlb_misses, misses + 1, "decision did not survive");
     }
 
     #[test]

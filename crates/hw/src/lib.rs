@@ -24,7 +24,6 @@ pub mod cet;
 pub mod core_handle;
 pub mod cpu;
 pub mod cycles;
-pub mod decision;
 pub mod fault;
 pub mod idt;
 pub mod image;
@@ -41,9 +40,8 @@ pub mod regs;
 pub mod tlb;
 
 pub use core_handle::CoreHandle;
-pub use cpu::{BatchOp, BatchOutcome, Cpu, CpuMode};
+pub use cpu::{Cpu, CpuMode};
 pub use cycles::{Costs, CycleCounter};
-pub use decision::{CachedCtx, Decision, DecisionCache, FastpathStats};
 pub use fault::{AccessKind, Fault, PfReason};
 pub use inject::{CoreView, InjectionPoint, Injector, InjectorHandle};
 pub use isolation::{Backend, BackendKind, DomainId, FrameTag, IsolationBackend, IsolationError};
@@ -51,7 +49,7 @@ pub use paging::{Pte, PteFlags};
 // `PhysMemory` is deliberately NOT re-exported: raw DRAM access is
 // privileged, and requiring the full `erebor_hw::phys::PhysMemory` path
 // keeps every reach greppable and attributable (the privilege auditor's
-// pub-leak rule enforces this, DESIGN.md §14).
+// pub-leak rule enforces this, DESIGN.md §13).
 pub use phys::{Frame, PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 pub use regs::{Cr0, Cr4, Msr, PkrsPerms, Rflags};
 pub use tlb::{HwStats, Tlb};

@@ -12,15 +12,13 @@
 //! staged page set, validating every length, tag and cross-field
 //! invariant so a truncated, reordered or bit-flipped blob lands as a
 //! typed [`WireError`] — never a half-imported machine. Host-side
-//! observability state that is *not* architectural (the permission
-//! decision caches, fast-path counters, allocator scan stats, the chaos
-//! injector) is reset to fresh values on import: a migrated machine's
+//! observability state that is *not* architectural (allocator scan
+//! stats, the chaos injector) is reset to fresh values on import: a migrated machine's
 //! counters start at zero while its architectural state is
 //! byte-identical.
 
 use crate::cet::{EndbrRegistry, ShadowStack};
 use crate::cycles::{Bucket, CycleCounter};
-use crate::decision::DecisionCache;
 use crate::mmu::EffPerms;
 use crate::phys::{Frame, PhysMemory};
 use crate::regs::{Cr0, Cr4, GprContext, Msr};
@@ -36,7 +34,7 @@ use crate::idt::Idtr;
 /// Format version stamped at the head of every export; import refuses
 /// anything else (a silent cross-version decode would be state confusion
 /// by construction).
-pub const MACHINE_STATE_VERSION: u32 = 1;
+pub const MACHINE_STATE_VERSION: u32 = 2;
 
 fn put_event(w: &mut WireWriter, e: &TraceEvent) {
     match e {
@@ -306,7 +304,6 @@ impl Machine {
         }
 
         w.bool(self.tlb_enabled);
-        w.bool(self.fastpath_enabled);
         w.bool(self.mmu_trace);
 
         w.seq(self.sensitive_domains().len());
@@ -328,14 +325,13 @@ impl Machine {
         for cpu in 0..cores {
             w.u32(self.interrupt_depth(cpu));
         }
-        w.u64(self.mmu_epoch());
 
         w.finish()
     }
 
     /// Rebuild a machine from [`Machine::export_state`] bytes plus the
-    /// staged page set. Non-architectural state (decision caches,
-    /// fast-path counters, allocator scan stats, injector) starts fresh.
+    /// staged page set. Non-architectural state (allocator scan stats,
+    /// injector) starts fresh.
     ///
     /// # Errors
     /// [`WireError`] on any truncation, unknown tag, version mismatch,
@@ -493,7 +489,6 @@ impl Machine {
         let trace = TraceBuffer::from_parts(capacity, seq, dropped, rings);
 
         let tlb_enabled = r.bool()?;
-        let fastpath_enabled = r.bool()?;
         let mmu_trace = r.bool()?;
 
         let nsens = r.seq(1)?;
@@ -529,7 +524,6 @@ impl Machine {
         for _ in 0..cores {
             depth.push(r.u32()?);
         }
-        let mmu_epoch = r.u64()?;
         r.finish()?;
 
         let mut m = Machine::new(cores, 0x1000); // placeholder DRAM, replaced below
@@ -542,17 +536,8 @@ impl Machine {
         m.stats = stats;
         m.trace = trace;
         m.tlb_enabled = tlb_enabled;
-        m.fastpath_enabled = fastpath_enabled;
         m.mmu_trace = mmu_trace;
-        crate::cpu::machine_set_private(
-            &mut m,
-            sensitive,
-            pending,
-            pending_asid,
-            depth,
-            (0..cores).map(|_| DecisionCache::new()).collect(),
-            mmu_epoch,
-        );
+        crate::cpu::machine_set_private(&mut m, sensitive, pending, pending_asid, depth);
         Ok(m)
     }
 }
@@ -611,7 +596,6 @@ mod tests {
         assert_eq!(dst.cycles.total(), src.cycles.total());
         assert_eq!(dst.cycles.attribution(), src.cycles.attribution());
         assert_eq!(dst.stats, src.stats);
-        assert_eq!(dst.mmu_epoch(), src.mmu_epoch());
         assert_eq!(dst.cpus[0].msr(Msr::Pkrs), 0b1100);
         assert_eq!(dst.cpus[0].domain, Domain::Monitor);
         for cpu in 0..2 {
@@ -693,25 +677,14 @@ mod tests {
 
     #[test]
     fn import_resets_nonarchitectural_counters() {
-        let mut src = busy_machine();
-        // Drive the batch fast path so fastpath counters are nonzero.
-        let ops = [
-            crate::cpu::BatchOp::Probe {
-                va: VirtAddr(0xffff_8000_0000_0010),
-                kind: AccessKind::Read,
-            };
-            4
-        ];
-        src.run_batch(0, &ops);
-        assert!(src.fastpath.batches > 0);
+        let src = busy_machine();
+        assert_ne!(src.mem.alloc_stats, Default::default());
         let pages: Vec<(u64, Vec<u8>)> = src
             .mem
             .resident_pages()
             .map(|(f, p)| (f, p.to_vec()))
             .collect();
         let dst = Machine::import_state(&src.export_state(), &pages).unwrap();
-        assert_eq!(dst.fastpath, Default::default());
         assert_eq!(dst.mem.alloc_stats, Default::default());
-        assert_eq!(dst.decision_cache(0).occupancy(), 0, "decision caches start cold");
     }
 }

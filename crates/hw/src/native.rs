@@ -6,7 +6,7 @@
 //! operations is delegated through the monitor's EMC gate. The baseline
 //! kernel keeps ring-0 and does them itself — but the *code* that touches
 //! raw frames, PTE slots, and TLB primitives still lives here, on the
-//! hardware side of the privilege manifest (DESIGN.md §14), so the kernel
+//! hardware side of the privilege manifest (DESIGN.md §13), so the kernel
 //! crate holds zero raw-state reach in either configuration and the
 //! privilege auditor can enforce that statically.
 //!

@@ -1,6 +1,6 @@
 //! `erebor-wire`: a tiny deterministic byte codec for migration records.
 //!
-//! Live migration (DESIGN.md §13) serializes every architectural structure
+//! Live migration (DESIGN.md §12) serializes every architectural structure
 //! — sEPT, pinned MSRs, monitor state, the EMC ledger, frame tags, the
 //! domain pool — into sealed records. The codec therefore has three hard
 //! requirements the general-purpose serializers can't promise:

@@ -1,5 +1,5 @@
 //! Fleet-scale serving harness: a seeded, deterministic request-driven
-//! load generator for many-sandbox campaigns (DESIGN.md §11).
+//! load generator for many-sandbox campaigns (DESIGN.md §10).
 //!
 //! The driver does three things, all without touching the platform crate
 //! (the interpreter loop lives in `benches/fleet.rs` and the fleet test

@@ -23,7 +23,7 @@
 #                          snapshot (zero findings, bounded work), the
 #                          privilege-separation auditor over the whole
 #                          workspace source (zero findings against the
-#                          DESIGN.md §14 manifest, zero waivers — a
+#                          DESIGN.md §13 manifest, zero waivers — a
 #                          priv:allow comment that suppresses anything
 #                          fails the stage), the red-team
 #                          auditor/race-detector suite, and a 100-case
@@ -31,21 +31,13 @@
 #                          happens-before race detector as per-case
 #                          invariants. The source lint always runs in
 #                          the default gate.
-#   scripts/ci.sh --fastpath  additionally run the batched-execution
-#                          fast-path gate: the differential equivalence
-#                          suite (cache on vs off, byte-identical
-#                          snapshots/traces/attribution across platform
-#                          modes) and the fastpath bench, persisting its
-#                          JSON to BENCH_fastpath.json and asserting the
-#                          meta floors (>=5x events/sec over the slow
-#                          path on the paging workload, >=0.9 decision
-#                          hit rate, a true ablation on the off run).
 #   scripts/ci.sh --fleet  additionally run the fleet-scale serving
 #                          gate: the fleet equivalence suite (allocator
 #                          and lookup toggles on vs off, byte-identical
 #                          campaigns), the coalesced-shootdown chaos
 #                          campaign, and the fleet bench in smoke shape,
-#                          persisting its JSON to BENCH_fleet.json and
+#                          writing its JSON to
+#                          target/bench/BENCH_fleet.json and
 #                          re-asserting the meta floors (determinism
 #                          == 1.0, speedup >= the JSON's self-described
 #                          floor, a measured gate-latency tail).
@@ -53,8 +45,8 @@
 #                          the keyed integration suite (PKS exhaustion
 #                          boundary, 256-sandbox TME-MK confinement,
 #                          the kill-fence ablation) and the keyed bench,
-#                          persisting BENCH_keyed.json and re-asserting
-#                          its floors (>= 256 concurrently-live keyed
+#                          writing target/bench/BENCH_keyed.json and
+#                          re-asserting its floors (>= 256 concurrently-live keyed
 #                          domains; TME-MK gate cost within the JSON's
 #                          self-described ceiling of the PKS gate cost
 #                          at the same shape).
@@ -65,11 +57,15 @@
 #                          round-trip on both backends, clean fleet
 #                          audit) with a >=200-case sealed-channel
 #                          chaos campaign, and the migrate bench,
-#                          persisting BENCH_migrate.json and
+#                          writing target/bench/BENCH_migrate.json and
 #                          re-asserting its floors (pages/sec >= the
 #                          JSON's self-described floor, stop-and-copy
 #                          pause under its ceiling, byte-identical
 #                          import of the timed stream).
+#
+# Bench stages write their JSON under target/bench/, so a smoke run never
+# overwrites the committed full-shape BENCH_*.json headlines at the repo
+# root; those change only on an explicit full-shape run.
 #
 # Machine-readable output convention: every JSON-emitting binary prints
 # its document on a single stdout line prefixed `EREBOR_JSON:`. CI greps
@@ -85,7 +81,6 @@ SMOKE=0
 CHAOS=0
 TRACE=0
 ANALYZE=0
-FASTPATH=0
 FLEET=0
 KEYED=0
 MIGRATE=0
@@ -95,18 +90,18 @@ for arg in "$@"; do
         --chaos) CHAOS=1 ;;
         --trace) TRACE=1 ;;
         --analyze) ANALYZE=1 ;;
-        --fastpath) FASTPATH=1 ;;
         --fleet) FLEET=1 ;;
         --keyed) KEYED=1 ;;
         --migrate) MIGRATE=1 ;;
         *)
-            echo "usage: scripts/ci.sh [--smoke] [--chaos] [--trace] [--analyze] [--fastpath] [--fleet] [--keyed] [--migrate]" >&2
+            echo "usage: scripts/ci.sh [--smoke] [--chaos] [--trace] [--analyze] [--fleet] [--keyed] [--migrate]" >&2
             exit 2
             ;;
     esac
 done
 
 export CARGO_NET_OFFLINE=true
+mkdir -p target/bench
 
 echo "==> cargo build --release"
 cargo build --release
@@ -260,7 +255,7 @@ PY
 fi
 
 if [[ "$ANALYZE" == 1 ]]; then
-    # Static-analysis stage (see DESIGN.md §9 and §14). Four passes:
+    # Static-analysis stage (see DESIGN.md §9 and §13). Four passes:
     #   1. the privilege-separation auditor over the whole workspace
     #      source — zero findings against the declared manifest and zero
     #      effective waivers (the bin exits non-zero on either);
@@ -356,86 +351,37 @@ PY
         cargo test --release -q --test analyze
 fi
 
-if [[ "$FASTPATH" == 1 ]]; then
-    # Batched-execution fast-path gate (see DESIGN.md §10). Two halves:
-    #   1. the differential equivalence suite — cache on vs off must be
-    #      byte-identical in snapshots, traces and attribution across
-    #      platform modes (the soundness proof for the memoization);
-    #   2. the fastpath bench — persists BENCH_fastpath.json and asserts
-    #      the perf floors both in-process (the bench panics below its
-    #      own floors) and here from the persisted document.
-    echo "==> fastpath: cargo test --release --test fastpath_equivalence"
-    cargo test --release -q --test fastpath_equivalence
-
-    echo "==> fastpath: cargo bench fastpath (persisting BENCH_fastpath.json)"
-    fastpath_raw="$(EREBOR_BENCH_SMOKE=1 EREBOR_BENCH_JSON="$PWD/BENCH_fastpath.json" \
-        cargo bench -p erebor-bench --bench fastpath 2>/dev/null)"
-    fastpath_out="$(extract_json "$fastpath_raw" "fastpath")"
-    check_json "$fastpath_out" "fastpath"
-    if [[ ! -s BENCH_fastpath.json ]]; then
-        echo "error: bench did not persist BENCH_fastpath.json" >&2
-        exit 1
-    fi
-    if command -v python3 >/dev/null 2>&1; then
-        python3 - <<'PY'
-import json
-meta = json.load(open("BENCH_fastpath.json"))["meta"]
-speedup = meta["fastpath_speedup"]
-hit_rate = meta["decision_hit_rate"]
-fast = meta["fastpath_events_per_sec"]
-slow = meta["slowpath_events_per_sec"]
-assert speedup >= 5.0, f"fast path not >=5x the slow path: {speedup:.2f}x"
-assert hit_rate >= 0.9, f"decision-cache hit rate too low: {hit_rate}"
-assert fast > slow > 0, f"throughput numbers inconsistent: {fast} vs {slow}"
-print(f"    fastpath: {fast:,.0f} vs {slow:,.0f} events/sec "
-      f"({speedup:.2f}x, hit rate {hit_rate:.4f})")
-PY
-    else
-        # Fallback without python3: integer-part comparison with sed.
-        fast="$(echo "$fastpath_out" | sed -n 's/.*"fastpath_events_per_sec":\([0-9]*\).*/\1/p')"
-        slow="$(echo "$fastpath_out" | sed -n 's/.*"slowpath_events_per_sec":\([0-9]*\).*/\1/p')"
-        if [[ -z "$fast" || -z "$slow" || "$fast" -lt $((5 * slow)) ]]; then
-            echo "error: fast path not >=5x the slow path (fast=$fast slow=$slow)" >&2
-            exit 1
-        fi
-        rate_tenths="$(echo "$fastpath_out" | sed -n 's/.*"decision_hit_rate":0\.\([0-9]\).*/\1/p')"
-        if [[ -n "$rate_tenths" && "$rate_tenths" -lt 9 ]]; then
-            echo "error: decision-cache hit rate too low" >&2
-            exit 1
-        fi
-        echo "    fastpath: fast=$fast slow=$slow events/sec"
-    fi
-fi
-
 if [[ "$FLEET" == 1 ]]; then
-    # Fleet-scale serving gate (see DESIGN.md §11). Three halves:
+    # Fleet-scale serving gate (see DESIGN.md §10). Three halves:
     #   1. the fleet equivalence suite — seeded campaigns with the
     #      allocator/lookup toggles on vs off must match byte for byte,
     #      and the coalesced mode must be same-seed deterministic;
     #   2. the coalesced-shootdown chaos campaign — dropped/spurious
     #      IPIs under churn, staleness accounted in the per-ASID ledger;
-    #   3. the fleet bench in smoke shape — persists BENCH_fleet.json
-    #      and re-asserts the meta floors here from the persisted
-    #      document (the bench itself panics below its own floors).
+    #   3. the fleet bench in smoke shape — writes
+    #      target/bench/BENCH_fleet.json and re-asserts the meta floors
+    #      here from that document (the bench itself panics below its
+    #      own floors).
     echo "==> fleet: cargo test --release --test fleet_equivalence"
     cargo test --release -q --test fleet_equivalence
 
     echo "==> fleet: cargo test --release --test chaos fleet_coalesced"
     cargo test --release -q --test chaos fleet_coalesced
 
-    echo "==> fleet: cargo bench fleet (persisting BENCH_fleet.json)"
-    fleet_raw="$(EREBOR_BENCH_SMOKE=1 EREBOR_BENCH_JSON="$PWD/BENCH_fleet.json" \
+    echo "==> fleet: cargo bench fleet (persisting target/bench/BENCH_fleet.json)"
+    rm -f target/bench/BENCH_fleet.json
+    fleet_raw="$(EREBOR_BENCH_SMOKE=1 EREBOR_BENCH_JSON="$PWD/target/bench/BENCH_fleet.json" \
         cargo bench -p erebor-bench --bench fleet 2>/dev/null)"
     fleet_out="$(extract_json "$fleet_raw" "fleet")"
     check_json "$fleet_out" "fleet"
-    if [[ ! -s BENCH_fleet.json ]]; then
-        echo "error: bench did not persist BENCH_fleet.json" >&2
+    if [[ ! -s target/bench/BENCH_fleet.json ]]; then
+        echo "error: bench did not persist target/bench/BENCH_fleet.json" >&2
         exit 1
     fi
     if command -v python3 >/dev/null 2>&1; then
         python3 - <<'PY'
 import json
-meta = json.load(open("BENCH_fleet.json"))["meta"]
+meta = json.load(open("target/bench/BENCH_fleet.json"))["meta"]
 det = meta["fleet_determinism"]
 speedup = meta["fleet_speedup"]
 floor = meta["fleet_speedup_floor"]
@@ -468,31 +414,32 @@ PY
 fi
 
 if [[ "$KEYED" == 1 ]]; then
-    # Isolation-backend gate (see DESIGN.md §12). Two halves:
+    # Isolation-backend gate (see DESIGN.md §11). Two halves:
     #   1. the keyed integration suite — the PKS exhaustion boundary
     #      (typed DomainsExhausted at capacity, domain recycling), the
     #      256-sandbox TME-MK confinement run with a clean audit, and
     #      the kill-teardown fence with its ablation;
     #   2. the keyed bench — gate cost vs resident-sandbox count per
-    #      backend, persisting BENCH_keyed.json; floors re-asserted here
-    #      from the persisted document (the bench panics below its own
-    #      floors too).
+    #      backend, writing target/bench/BENCH_keyed.json; floors
+    #      re-asserted here from that document (the bench panics below
+    #      its own floors too).
     echo "==> keyed: cargo test --release --test keyed"
     cargo test --release -q --test keyed
 
-    echo "==> keyed: cargo bench keyed (persisting BENCH_keyed.json)"
-    keyed_raw="$(EREBOR_BENCH_SMOKE=1 EREBOR_BENCH_JSON="$PWD/BENCH_keyed.json" \
+    echo "==> keyed: cargo bench keyed (persisting target/bench/BENCH_keyed.json)"
+    rm -f target/bench/BENCH_keyed.json
+    keyed_raw="$(EREBOR_BENCH_SMOKE=1 EREBOR_BENCH_JSON="$PWD/target/bench/BENCH_keyed.json" \
         cargo bench -p erebor-bench --bench keyed 2>/dev/null)"
     keyed_out="$(extract_json "$keyed_raw" "keyed")"
     check_json "$keyed_out" "keyed"
-    if [[ ! -s BENCH_keyed.json ]]; then
-        echo "error: bench did not persist BENCH_keyed.json" >&2
+    if [[ ! -s target/bench/BENCH_keyed.json ]]; then
+        echo "error: bench did not persist target/bench/BENCH_keyed.json" >&2
         exit 1
     fi
     if command -v python3 >/dev/null 2>&1; then
         python3 - <<'PY'
 import json
-meta = json.load(open("BENCH_keyed.json"))["meta"]
+meta = json.load(open("target/bench/BENCH_keyed.json"))["meta"]
 live = meta["keyed_max_live"]
 floor = meta["keyed_max_live_floor"]
 overhead = meta["keyed_gate_overhead"]
@@ -525,33 +472,34 @@ PY
 fi
 
 if [[ "$MIGRATE" == 1 ]]; then
-    # Live-migration gate (see DESIGN.md §13). Two halves:
+    # Live-migration gate (see DESIGN.md §12). Two halves:
     #   1. the migration suite — same-seed migrated vs unmigrated runs
     #      byte-identical, fresh non-architectural counters on import,
     #      domain-pool round-trip on both backends, a migrated
     #      64-sandbox fleet auditing clean, and a >=200-case chaos
     #      campaign over the sealed record stream (drop / duplicate /
     #      reorder / corrupt / truncate, every fault a typed abort);
-    #   2. the migrate bench — persists BENCH_migrate.json; floors
-    #      re-asserted here from the persisted document (the bench
-    #      itself panics below its own floors too).
+    #   2. the migrate bench — writes target/bench/BENCH_migrate.json;
+    #      floors re-asserted here from that document (the bench itself
+    #      panics below its own floors too).
     echo "==> migrate: cargo test --release --test migration (>=200-case chaos)"
     EREBOR_CHAOS_CASES="${EREBOR_CHAOS_CASES:-240}" \
         cargo test --release -q --test migration
 
-    echo "==> migrate: cargo bench migrate (persisting BENCH_migrate.json)"
-    migrate_raw="$(EREBOR_BENCH_SMOKE=1 EREBOR_BENCH_JSON="$PWD/BENCH_migrate.json" \
+    echo "==> migrate: cargo bench migrate (persisting target/bench/BENCH_migrate.json)"
+    rm -f target/bench/BENCH_migrate.json
+    migrate_raw="$(EREBOR_BENCH_SMOKE=1 EREBOR_BENCH_JSON="$PWD/target/bench/BENCH_migrate.json" \
         cargo bench -p erebor-bench --bench migrate 2>/dev/null)"
     migrate_out="$(extract_json "$migrate_raw" "migrate")"
     check_json "$migrate_out" "migrate"
-    if [[ ! -s BENCH_migrate.json ]]; then
-        echo "error: bench did not persist BENCH_migrate.json" >&2
+    if [[ ! -s target/bench/BENCH_migrate.json ]]; then
+        echo "error: bench did not persist target/bench/BENCH_migrate.json" >&2
         exit 1
     fi
     if command -v python3 >/dev/null 2>&1; then
         python3 - <<'PY'
 import json
-meta = json.load(open("BENCH_migrate.json"))["meta"]
+meta = json.load(open("target/bench/BENCH_migrate.json"))["meta"]
 pps = meta["migrate_pages_per_sec"]
 floor = meta["migrate_pages_per_sec_floor"]
 pause = meta["migrate_stopcopy_pause_ns"]

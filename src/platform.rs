@@ -14,7 +14,7 @@ use erebor_hw::cycles::CLOCK_HZ;
 use erebor_hw::fault::{AccessKind, Fault, PfReason, VeReason};
 use erebor_hw::idt::vector;
 use erebor_hw::inject::InjectorHandle;
-use erebor_hw::{BatchOp, BatchOutcome, FastpathStats, HwStats, VirtAddr};
+use erebor_hw::{HwStats, VirtAddr};
 use erebor_kernel::image::benign_kernel;
 use erebor_kernel::kernel::KernelStats;
 use erebor_kernel::{Hw, Kernel, Pid};
@@ -247,7 +247,7 @@ impl Platform {
         let now = platform.cvm.machine.cycles.total();
         platform.last_timer.fill(now);
         // Post-boot state audit: a freshly booted platform must satisfy
-        // every security claim (C1–C9) before any workload touches it.
+        // every security claim (C1–C8) before any workload touches it.
         let report = platform.audit();
         if !report.is_clean() {
             return Err(PlatformError::Audit(report));
@@ -258,7 +258,7 @@ impl Platform {
     /// Run the state auditor over the live machine: every page-table
     /// tree the monitor tracks (kernel, registered user address spaces,
     /// sandboxes), the sEPT, the IDT, the gate descriptors, and the
-    /// pinned MSRs, checked against the paper's claims C1–C9
+    /// pinned MSRs, checked against the paper's claims C1–C8
     /// (DESIGN.md §9). Read-only and side-effect free; callable at any
     /// point, not just post-boot.
     #[must_use]
@@ -291,23 +291,6 @@ impl Platform {
         self.cvm.machine.clear_injector();
     }
 
-    /// Enable or disable the batched-execution permission-decision cache
-    /// (on by default). The differential equivalence suite runs identical
-    /// programs both ways and asserts byte-identical snapshots, traces
-    /// and attribution; disabling is also the ablation baseline for the
-    /// fastpath bench.
-    pub fn set_fastpath(&mut self, enabled: bool) {
-        self.cvm.machine.fastpath_enabled = enabled;
-    }
-
-    /// Fast-path observability counters (hits, slow ops, re-keys). These
-    /// live outside [`Snapshot`] by design: they differ between
-    /// fastpath-on and fastpath-off runs that are otherwise identical.
-    #[must_use]
-    pub fn fastpath_stats(&self) -> FastpathStats {
-        self.cvm.machine.fastpath
-    }
-
     /// Toggle every fleet-mode fast path together: the bitmap frame
     /// allocator scan (`PhysMemory::fast_scan`), the monitor's O(1)
     /// lookup indexes (`Monitor::fast_lookup`), and coalesced
@@ -334,14 +317,6 @@ impl Platform {
     #[must_use]
     pub fn lookup_stats(&self) -> &erebor_core::stats::LookupStats {
         &self.cvm.monitor.lookup_stats
-    }
-
-    /// Execute a straight-line access batch on the active vCPU through
-    /// the machine's batched fast path
-    /// ([`erebor_hw::cpu::Machine::run_batch`]). Stops at the first
-    /// fault, exactly like issuing the ops one by one.
-    pub fn run_batch(&mut self, ops: &[BatchOp]) -> BatchOutcome {
-        self.cvm.machine.run_batch(self.cpu, ops)
     }
 
     /// Enter kernel execution context on the driving core (ring 0, kernel
@@ -1085,8 +1060,7 @@ impl Platform {
     /// exactly as it booted: there is no half-imported destination.
     ///
     /// Non-architectural counters (frame-allocator scan stats, monitor
-    /// lookup stats, permission-decision caches, batch fast-path
-    /// counters) start fresh on the imported machine; architectural
+    /// lookup stats) start fresh on the imported machine; architectural
     /// state — registers, MSRs, TLBs, sEPT, the EMC ledger, sandbox
     /// table, sessions, tasks — is byte-identical to the source.
     ///
@@ -1115,6 +1089,12 @@ impl Platform {
             snap.section(section::MACHINE, "missing machine section")?,
             &snap.pages,
         )?;
+        // Which domains may run sensitive instructions is fixed by this
+        // platform's own boot; a record that widens the set (say, to the
+        // deprivileged kernel) would hand the source `wrmsr`/CR rights.
+        if machine.sensitive_domains() != self.cvm.machine.sensitive_domains() {
+            return Err(MigrationError::Protocol("sensitive-domain set mismatch").into());
+        }
         if snap.section(section::PHYS_META, "missing phys meta")? != machine.mem.export_meta() {
             return Err(MigrationError::Protocol("phys metadata mismatch").into());
         }

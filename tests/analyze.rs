@@ -15,7 +15,7 @@ use erebor::ehw::isolation::BackendKind;
 use erebor::ehw::layout;
 use erebor::ehw::paging::{self, intermediate_for, map_raw, Pte, PteFlags};
 use erebor::ehw::regs::Cr0;
-use erebor::ehw::{BatchOp, CpuMode, Frame, VirtAddr};
+use erebor::ehw::{CpuMode, Frame, VirtAddr};
 use erebor::{Mode, Platform, TraceEvent, TraceRecord};
 
 /// A kernel-half VA far from anything boot maps (text, data, direct map).
@@ -297,58 +297,6 @@ fn c7_shared_device_frame_still_private_is_flagged() {
     });
 }
 
-/// The decision-cache red test: after an honest downgrade (delegated
-/// unmap, shootdown delivered, epoch bumped) the audit is clean; if an
-/// adversary could revive the pre-downgrade MMU epoch, the victim core's
-/// permission-decision cache would come back to life with entries whose
-/// backing TLB state is gone — and C9 flags every one of them
-/// individually rather than trusting the batch layer's own validity
-/// check.
-#[test]
-fn c9_revived_stale_decision_cache_is_flagged() {
-    for backend in [BackendKind::Pks, BackendKind::TmeMk] {
-        c9_revived_stale_decision_cache_body(backend);
-    }
-}
-
-fn c9_revived_stale_decision_cache_body(backend: BackendKind) {
-    let (mut p, root) = platform_with_user_page_on(backend);
-    run_user(&mut p, 1, root);
-    // Warm the decision cache on the victim core: the first probe walks
-    // and fills, the second is served from the cached decision.
-    let ops = [BatchOp::Probe {
-        va: USER_VA,
-        kind: AccessKind::Read,
-    }; 2];
-    let out = p.cvm.machine.run_batch(1, &ops);
-    assert!(out.fault.is_none(), "{out:?}");
-    assert!(p.cvm.machine.decision_cache(1).occupancy() > 0, "cache warmed");
-    let pre_downgrade_epoch = p.cvm.machine.mmu_epoch();
-
-    // Honest downgrade: the monitor unmaps the page, the shootdown lands
-    // on every core, and the epoch moves on.
-    p.enter_kernel_mode();
-    p.cvm
-        .monitor
-        .emc(
-            &mut p.cvm.machine,
-            &mut p.cvm.tdx,
-            0,
-            EmcRequest::UnmapUserPage { root, va: USER_VA },
-        )
-        .expect("delegated unmap");
-    p.cvm.machine.cpus[1].mode = CpuMode::User;
-    p.cvm.machine.cpus[1].domain = Domain::User;
-    assert_ne!(p.cvm.machine.mmu_epoch(), pre_downgrade_epoch);
-    let report = p.audit();
-    assert!(report.is_clean(), "honest downgrade audits clean: {}", report.json());
-
-    // Epoch revival: the stale decisions survive the downgrade without a
-    // flush, and the auditor catches them.
-    p.cvm.machine.force_mmu_epoch(pre_downgrade_epoch);
-    only_check(&p.audit().findings, "decision-consistency");
-}
-
 #[test]
 fn c8_stale_tlb_entry_after_backdoor_unmap_is_flagged() {
     for backend in [BackendKind::Pks, BackendKind::TmeMk] {
@@ -508,11 +456,10 @@ fn race_detector_reproduces_dropped_ipi_stale_read_unprompted() {
     assert!(hit.access_seq > hit.revoke_seq);
 }
 
-/// Batched accesses are individual events to the detector: a `run_batch`
-/// straight-line read sequence through a revoked-but-stale mapping emits
-/// one `tlb_hit` per access (never a coalesced summary), so the
-/// happens-before pass sees the full stale window — including the
-/// accesses the decision cache replayed without touching the TLB.
+/// Repeated accesses are individual events to the detector: a run of
+/// reads through a revoked-but-stale mapping emits one `tlb_hit` per
+/// access (never a coalesced summary), so the happens-before pass sees
+/// the full stale window.
 #[test]
 fn race_detector_sees_individual_batched_accesses() {
     struct DropAllIpis;
@@ -543,18 +490,16 @@ fn race_detector_sees_individual_batched_accesses() {
         .expect("delegated unmap");
     p.clear_injector();
 
-    // The victim batches three reads through the dead mapping. The first
-    // takes the slow path (the shootdown bumped the MMU epoch) and hits
-    // the stale TLB entry; the rest replay the refilled decision.
+    // The victim issues three reads through the dead mapping; each one
+    // hits the stale TLB entry.
     p.cvm.machine.cpus[1].mode = CpuMode::User;
     p.cvm.machine.cpus[1].domain = Domain::User;
-    let ops = [BatchOp::Probe {
-        va: USER_VA,
-        kind: AccessKind::Read,
-    }; 3];
-    let out = p.cvm.machine.run_batch(1, &ops);
-    assert!(out.fault.is_none(), "stale entry still serves: {out:?}");
-    assert_eq!(out.executed, 3);
+    for _ in 0..3 {
+        p.cvm
+            .machine
+            .probe(1, USER_VA, AccessKind::Read)
+            .expect("stale entry still serves");
+    }
 
     let records = p.cvm.machine.trace.last_n(usize::MAX);
     let page = USER_VA.0 >> 12;
@@ -573,7 +518,7 @@ fn race_detector_sees_individual_batched_accesses() {
                 && matches!(r.event, TraceEvent::TlbHit { page: pg, .. } if pg == page)
         })
         .count();
-    assert_eq!(stale_hits, 3, "one tlb_hit per batched access, none coalesced");
+    assert_eq!(stale_hits, 3, "one tlb_hit per access, none coalesced");
 
     let findings = detect_races(&records, p.cvm.machine.cpus.len());
     let hit = findings
@@ -620,7 +565,7 @@ fn race_detector_quiet_when_shootdown_lands() {
 }
 
 // ====================================================================
-// The privilege-separation auditor (DESIGN.md §14)
+// The privilege-separation auditor (DESIGN.md §13)
 // ====================================================================
 
 /// The CI baseline: the whole workspace satisfies the declared privilege

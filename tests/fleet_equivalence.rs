@@ -171,7 +171,7 @@ proptest! {
         prop_assert!(on_stats.root_index_lookups() > 0);
         prop_assert!(on_stats.as_index_lookups() > 0);
         prop_assert!(on.cvm.machine.mem.alloc_stats.words_scanned > 0);
-        // Both post-campaign states satisfy every audit claim (C1–C9).
+        // Both post-campaign states satisfy every audit claim (C1–C8).
         prop_assert!(on.audit().is_clean(), "fast platform audit dirty");
         prop_assert!(off.audit().is_clean(), "ablated platform audit dirty");
     }

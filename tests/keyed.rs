@@ -1,7 +1,7 @@
 //! Integration tests for the isolation-backend seam: the PKS capacity
 //! boundary (typed exhaustion, domain recycling), the TME-MK keyed
 //! backend confining hundreds of sandboxes in one address space, and the
-//! kill-teardown fence (epoch bump + domain revocation) with its
+//! kill-teardown fence (alias retag + domain revocation) with its
 //! ablation showing exactly what breaks without it.
 
 use erebor::ecore::emc::{EmcError, EmcRequest};
@@ -10,7 +10,7 @@ use erebor::ehw::fault::AccessKind;
 use erebor::ehw::isolation::{BackendKind, IsolationBackend};
 use erebor::ehw::layout::KERNEL_BASE;
 use erebor::ehw::paging;
-use erebor::ehw::{BatchOp, CpuMode, VirtAddr};
+use erebor::ehw::{CpuMode, VirtAddr};
 use erebor::Platform;
 
 /// Where each sandbox declares its confined page (sandbox-private
@@ -166,9 +166,10 @@ fn keyed_backend_confines_256_sandboxes() {
 
 /// Create a sandbox with *zero* confined pages (so teardown issues no
 /// per-VA shootdowns — the worst case for the fence), park victim core 1
-/// on the sandbox's CR3, warm its permission-decision cache, then kill
-/// the sandbox. Returns the observables the fence is responsible for.
-fn kill_with_fence(kill_fence: bool) -> (u64, u64, usize, u16, u16) {
+/// on the sandbox's CR3 with a cached translation under it, then kill
+/// the sandbox. Returns whether core 1 still holds that TLB entry and
+/// the live-domain counts before and after the kill.
+fn kill_with_fence(kill_fence: bool) -> (bool, u16, u16) {
     let mut p = booted_with(BackendKind::Pks);
     p.cvm.monitor.kill_fence = kill_fence;
     p.enter_kernel_mode();
@@ -180,60 +181,55 @@ fn kill_with_fence(kill_fence: bool) -> (u64, u64, usize, u16, u16) {
     let root = p.cvm.monitor.sandboxes.get(&id.0).expect("live").root;
 
     // Victim core 1 runs (deprivileged-kernel mode) on the sandbox's
-    // address space and caches permission decisions keyed to that CR3.
+    // address space and caches a translation tagged with that CR3.
     p.cvm.machine.cpus[1].mode = CpuMode::Supervisor;
     p.cvm.machine.cpus[1].domain = Domain::Kernel;
     p.cvm.machine.cpus[1].cr3 = root;
     p.cvm.machine.flush_tlb(1);
-    let ops = [BatchOp::Probe {
-        va: KERNEL_BASE,
-        kind: AccessKind::Read,
-    }; 2];
-    let out = p.cvm.machine.run_batch(1, &ops);
-    assert!(out.fault.is_none(), "{out:?}");
-    assert!(p.cvm.machine.decision_cache(1).occupancy() > 0, "cache warmed");
+    p.cvm
+        .machine
+        .probe(1, KERNEL_BASE, AccessKind::Read)
+        .expect("kernel text readable");
+    assert!(
+        p.cvm.machine.tlbs[1]
+            .lookup(root, KERNEL_BASE, AccessKind::Read)
+            .is_some(),
+        "translation cached under the sandbox's CR3"
+    );
 
-    let pre_epoch = p.cvm.machine.mmu_epoch();
     let live_before = p.cvm.monitor.backend.live_domains();
-    p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, id, "fence test");
+    p.cvm
+        .monitor
+        .kill_sandbox(&mut p.cvm.machine, id, "fence test");
     (
-        pre_epoch,
-        p.cvm.machine.mmu_epoch(),
-        p.cvm.machine.decision_cache(1).occupancy(),
+        p.cvm.machine.tlbs[1]
+            .lookup(root, KERNEL_BASE, AccessKind::Read)
+            .is_some(),
         live_before,
         p.cvm.monitor.backend.live_domains(),
     )
 }
 
 /// Red half: with the fence ablated, a zero-confined-page kill issues no
-/// shootdown and no epoch bump — the victim core's cached decisions for
-/// the dead sandbox's CR3 are *still valid* (same ctx, same epoch: the
-/// batch layer would serve them without a walk), and the isolation
-/// domain is never revoked.
+/// shootdown — core 1 still holds a live TLB entry for the dead
+/// sandbox's CR3 — and the isolation domain is never revoked.
 #[test]
 fn kill_without_fence_leaves_stale_decisions_and_leaks_the_domain() {
-    let (pre_epoch, post_epoch, occupancy, live_before, live_after) = kill_with_fence(false);
-    assert_eq!(
-        post_epoch, pre_epoch,
-        "ablated fence: nothing bumped the epoch"
-    );
+    let (stale_entry, live_before, live_after) = kill_with_fence(false);
     assert!(
-        occupancy > 0,
-        "stale decisions for the dead sandbox's CR3 survive, still epoch-valid"
+        stale_entry,
+        "core 1 still caches a translation under the dead CR3"
     );
     assert_eq!(live_after, live_before, "the domain leaked");
 }
 
-/// Green half: the fence unconditionally bumps the MMU epoch (closing
-/// the decision window even with no shootdowns in flight) and revokes
-/// the domain.
+/// Green half: the fence revokes the domain. It is not a TLB operation:
+/// the entry under the dead CR3 stays until core 1's next CR3 load
+/// flushes it, exactly as with the fence ablated.
 #[test]
-fn kill_fence_closes_the_decision_window_and_frees_the_domain() {
-    let (pre_epoch, post_epoch, _occupancy, live_before, live_after) = kill_with_fence(true);
-    assert_ne!(
-        post_epoch, pre_epoch,
-        "fence bumps the epoch even with zero confined pages"
-    );
+fn kill_fence_frees_the_domain() {
+    let (stale_entry, live_before, live_after) = kill_with_fence(true);
+    assert!(stale_entry, "the fence leaves TLBs to the next CR3 load");
     assert_eq!(live_after, live_before - 1, "domain revoked");
 }
 

@@ -9,7 +9,7 @@
 //! * **Equivalence** — a same-seed run that migrates mid-stream produces
 //!   byte-identical trace JSON to one that never migrates.
 //! * **Fresh counters** — non-architectural stats (allocator scans,
-//!   lookup hits, decision caches, fast-path counters) start at zero on
+//!   lookup hits) start at zero on
 //!   the destination while architectural state is byte-identical.
 //! * **Domain pool** — the live set and LIFO recycle list round-trip
 //!   exactly under both isolation backends: a domain freed on the source
@@ -17,9 +17,12 @@
 //! * **Chaos** — a ≥200-case campaign of dropped, duplicated, reordered,
 //!   corrupted and truncated records: every fault is a typed abort, the
 //!   destination is never half-imported, the source stays auditable.
+//! * **Sensitive domains** — a source that widens the set of domains
+//!   allowed sensitive instructions is refused.
 //! * **Fleet** — a migrated 64-sandbox fleet audits clean (C1–C8).
 
 use erebor::ecore::channel::Client;
+use erebor::ehw::cpu::Domain;
 use erebor::ehw::isolation::BackendKind;
 use erebor::elibos::api::SysError;
 use erebor::{
@@ -178,7 +181,6 @@ fn migrated_counters_start_fresh_while_architecture_is_identical() {
     assert_eq!(dest.lookup_stats().as_index_lookups(), 0);
     assert_eq!(dest.lookup_stats().root_index_lookups(), 0);
     assert_eq!(dest.lookup_stats().cpuid_mru_hits(), 0);
-    assert_eq!(dest.fastpath_stats(), Default::default());
 
     // Architectural: identical (all counters, cycles and attribution).
     let s = src.snapshot();
@@ -407,6 +409,43 @@ fn chaos_campaign_every_fault_is_typed_and_atomic() {
     dest.migrate_from(&dest_key, src_key.public(), &records)
         .expect("clean import after campaign");
     assert!(dest.audit().is_clean());
+}
+
+// ====================================================================
+// Import: the source cannot widen the sensitive-domain set
+// ====================================================================
+
+/// A malicious but authenticated source that grants `Domain::Kernel`
+/// sensitive-instruction rights before export would give the
+/// destination's deprivileged kernel `wrmsr`/CR writes. The destination
+/// refuses any set other than the one it registered at boot, with a
+/// typed protocol error, and stays exactly as it booted.
+#[test]
+fn destination_refuses_widened_sensitive_domain_set() {
+    let seed = 0x5E45;
+    let mut src = boot(seed, BackendKind::Pks);
+    let (mut svc, mut client) = deploy(&mut src, 9);
+    serve(&mut src, &mut svc, &mut client, b"busy");
+    src.cvm.machine.allow_sensitive(Domain::Kernel);
+
+    let mut dest = boot(seed, BackendKind::Pks);
+    let src_key = MigrationKey::from_seed([0x5A; 32]);
+    let dest_key = MigrationKey::from_seed([0xA5; 32]);
+    let offer = dest.migration_offer(&dest_key, &src_key.public());
+    let pristine_trace = dest.trace_json();
+    let pristine_snapshot = format!("{:?}", dest.snapshot());
+    let (records, _) = src.migrate_to(&src_key, &offer).expect("stream seals");
+
+    let err = dest
+        .migrate_from(&dest_key, src_key.public(), &records)
+        .expect_err("a widened sensitive-domain set must be refused");
+    assert!(
+        matches!(err, PlatformError::Migration(MigrationError::Protocol(_))),
+        "got {err}"
+    );
+    assert!(!dest.cvm.machine.sensitive_allowed(Domain::Kernel));
+    assert_eq!(dest.trace_json(), pristine_trace);
+    assert_eq!(format!("{:?}", dest.snapshot()), pristine_snapshot);
 }
 
 // ====================================================================
