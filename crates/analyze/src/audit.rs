@@ -17,6 +17,7 @@ use crate::findings::{AuditReport, Finding};
 use erebor_core::gate::EmcGate;
 use erebor_core::monitor::Monitor;
 use erebor_core::policy::{self, FrameKind};
+use erebor_core::sandbox::SandboxState;
 use erebor_hw::cpu::{Domain, Machine};
 use erebor_hw::isolation::IsolationBackend;
 use erebor_hw::paging::Pte;
@@ -534,8 +535,10 @@ fn check_sept_consistency(view: &MachineView, leaves: &[LeafMapping], report: &m
 
 /// C8 `ledger-consistency`: the hardware/monitor bookkeeping matches the
 /// tables — every live TLB entry agrees with a fresh walk unless its
-/// staleness is recorded in the `pending_shootdowns` ledger, and no
-/// frame the monitor accounts as fully unmapped is still reachable.
+/// staleness is recorded in the `pending_shootdowns` ledger, no frame
+/// the monitor accounts as fully unmapped is still reachable, and every
+/// `Confined{sandbox}` frame is on the `confined` list of that sandbox,
+/// which is still alive (else no teardown will ever release it).
 fn check_ledger_consistency(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport) {
     let machine = view.machine;
     for (cpu, tlb) in machine.tlbs.iter().enumerate() {
@@ -571,6 +574,28 @@ fn check_ledger_consistency(view: &MachineView, leaves: &[LeafMapping], report: 
                 "ledger-consistency",
                 "C8",
                 format!("frame accounted fully unmapped but still reachable: {}", m.detail()),
+            ));
+        }
+    }
+    let owned: BTreeSet<(u32, u64)> = mon
+        .sandboxes
+        .values()
+        .filter(|s| s.state != SandboxState::Dead)
+        .flat_map(|s| s.confined.iter().map(move |(_, f)| (s.id.0, f.0)))
+        .collect();
+    for f in (0..machine.mem.total_frames()).map(Frame) {
+        let FrameKind::Confined { sandbox } = mon.frames.kind(f) else {
+            continue;
+        };
+        if !owned.contains(&(sandbox, f.0)) {
+            report.findings.push(Finding::new(
+                "ledger-consistency",
+                "C8",
+                format!(
+                    "frame {:#x} confined to sandbox {sandbox}, which is dead, missing, \
+                     or does not list it",
+                    f.0
+                ),
             ));
         }
     }

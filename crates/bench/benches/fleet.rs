@@ -1,7 +1,7 @@
 //! Criterion: the fleet-scale serving campaign — hundreds of concurrent
 //! sandboxes, a six-figure request stream, and kill/redeploy churn —
-//! with the fleet fast paths (bitmap frame scan, O(1) sandbox lookup,
-//! coalesced shootdowns) on vs ablated.
+//! with the fleet fast paths (bitmap frame scan, O(1) sandbox lookup)
+//! on vs ablated.
 //!
 //! The headline numbers land in the JSON `meta` block so CI
 //! (`scripts/ci.sh --fleet`) can assert them from the persisted

@@ -7,6 +7,7 @@
 use crate::policy::{pkey_for, FrameKind, FrameTable};
 use erebor_hw::cpu::Machine;
 use erebor_hw::fault::Fault;
+use erebor_hw::isolation::FrameTag;
 use erebor_hw::layout::direct_map;
 use erebor_hw::paging::{self, Pte, PteFlags};
 use erebor_hw::{Frame, PhysAddr, VirtAddr};
@@ -33,9 +34,65 @@ pub fn pte_read_raw(machine: &Machine, slot: PhysAddr) -> Pte {
     Pte(machine.mem.read_u64(slot).unwrap_or(0))
 }
 
+/// The VAs a monitor operation has made stale, gathered so the operation
+/// pays one IPI round per address space instead of one per page — the
+/// monitor's analogue of Linux's `mmu_gather`.
+///
+/// Direct-map aliases (kernel half, visible under every root) are
+/// broadcast; user pages are sent only to the cores running their root.
+/// [`TlbGather::finish`] must run before the EMC returns, on every path,
+/// and before any gathered frame is scrubbed, freed, or reached through
+/// its old alias. Past [`Machine::SHOOTDOWN_FULL_FLUSH_CEILING`] pages a
+/// round full-flushes, and a dropped IPI lands in the staleness ledgers,
+/// exactly as for any other batched shootdown.
+#[must_use = "a TLB gather does nothing until it is finished"]
+#[derive(Debug, Default)]
+pub struct TlbGather {
+    /// One round per address space, in first-use order: `None` is the
+    /// kernel half (broadcast), `Some(root)` a user root.
+    rounds: Vec<(Option<Frame>, Vec<VirtAddr>)>,
+}
+
+impl TlbGather {
+    fn record(&mut self, root: Option<Frame>, va: VirtAddr) {
+        match self.rounds.iter_mut().find(|(r, _)| *r == root) {
+            Some((_, vas)) => vas.push(va),
+            None => self.rounds.push((root, vec![va])),
+        }
+    }
+
+    /// Record a stale kernel-half VA (broadcast on finish).
+    pub fn kernel_page(&mut self, va: VirtAddr) {
+        self.record(None, va);
+    }
+
+    /// Record a stale user VA under `root` (sent to `root`'s cores).
+    pub fn user_page(&mut self, root: Frame, va: VirtAddr) {
+        self.record(Some(root), va);
+    }
+
+    /// Issue the gathered invalidations: one broadcast batch for the
+    /// kernel-half VAs and one targeted batch per user root. Every round
+    /// is attempted even if an earlier one faults.
+    ///
+    /// # Errors
+    /// The first shootdown fault (`#GP` off a supervisor initiator).
+    pub fn finish(mut self, machine: &mut Machine, cpu: usize) -> Result<(), Fault> {
+        let mut res = Ok(());
+        for (root, vas) in core::mem::take(&mut self.rounds) {
+            res = res.and(match root {
+                None => machine.tlb_shootdown_batch(cpu, &vas),
+                Some(root) => machine.tlb_shootdown_mm(cpu, root, &vas),
+            });
+        }
+        res
+    }
+}
+
 /// Rewrite the direct-map leaf for `frame` so its protection key matches a
-/// new frame kind (retyping). The direct map stays writable for default
-/// kinds and write-protected for trusted kinds.
+/// new frame kind (retyping), shooting the old alias down at once. The
+/// direct map stays writable for default kinds and write-protected for
+/// trusted kinds.
 ///
 /// # Errors
 /// Propagates checked-write faults.
@@ -46,24 +103,31 @@ pub fn retag_direct_map(
     frame: Frame,
     kind: FrameKind,
 ) -> Result<(), Fault> {
-    retag_direct_map_tagged(machine, cpu, kernel_root, frame, pkey_for(kind), 0)
+    let mut gather = TlbGather::default();
+    let tag = FrameTag {
+        pkey: pkey_for(kind),
+        keyid: 0,
+    };
+    let res = retag_direct_map_gathered(machine, cpu, kernel_root, frame, tag, &mut gather);
+    gather.finish(machine, cpu).and(res)
 }
 
 /// Rewrite the direct-map leaf for `frame` with an *explicit* isolation
 /// tag — protection key plus TME-MK key-ID — rather than one derived
-/// from a frame kind. Confined-memory aliases use this: under the PKS
+/// from a frame kind, recording a stale alias in `gather` instead of
+/// shooting it down. Confined-memory aliases use this: under the PKS
 /// backend the tag is the owning sandbox's pkey (key-ID 0), under the
 /// TME-MK backend it is `PK_MONITOR` plus the sandbox's key-ID.
 ///
 /// # Errors
 /// Propagates checked-write faults.
-pub fn retag_direct_map_tagged(
+pub fn retag_direct_map_gathered(
     machine: &mut Machine,
     cpu: usize,
     kernel_root: Frame,
     frame: Frame,
-    pkey: u8,
-    keyid: u16,
+    tag: FrameTag,
+    gather: &mut TlbGather,
 ) -> Result<(), Fault> {
     let dm_va = direct_map(frame.base());
     let slot = paging::leaf_slot(&machine.mem, kernel_root, dm_va)
@@ -74,20 +138,21 @@ pub fn retag_direct_map_tagged(
         present: true,
         writable: true,
         nx: true,
-        pkey,
+        pkey: tag.pkey,
         ..PteFlags::default()
     };
-    pte_write(machine, cpu, slot, Pte::encode(frame, flags).with_keyid(keyid))?;
-    if old.present() && (old.pkey() != pkey || old.keyid() != keyid) {
+    let pte = Pte::encode(frame, flags).with_keyid(tag.keyid);
+    pte_write(machine, cpu, slot, pte)?;
+    if old.present() && (old.pkey() != tag.pkey || old.keyid() != tag.keyid) {
         // The retype changed the frame's isolation tag: a cached
         // direct-map translation carrying the old tag on any core would
         // let the kernel keep writing a frame that just became trusted
         // (PTP/monitor/confined) state — the stale-sEPT hazard class.
-        // Shoot it down everywhere. Tag-preserving retypes (e.g. free →
-        // user data, both PK_DEFAULT) need no flush: the cached
-        // permissions are still exact. A key-ID change is the PCONFIG
-        // reprogramming case and needs the same flush discipline.
-        machine.tlb_shootdown(cpu, dm_va)?;
+        // Gather it for a broadcast shootdown. Tag-preserving retypes
+        // (e.g. free → user data, both PK_DEFAULT) need no flush: the
+        // cached permissions are still exact. A key-ID change is the
+        // PCONFIG reprogramming case and needs the same flush discipline.
+        gather.kernel_page(dm_va);
     }
     Ok(())
 }

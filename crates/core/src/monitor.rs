@@ -17,8 +17,8 @@ use crate::stats::{LookupStats, MonitorStats};
 use erebor_hw::cpu::Machine;
 use erebor_hw::fault::{Fault, VeReason};
 use erebor_hw::idt;
-use erebor_hw::isolation::{Backend, DomainId, IsolationBackend, IsolationError};
 use erebor_hw::image::{Image, SectionKind};
+use erebor_hw::isolation::{Backend, DomainId, FrameTag, IsolationBackend, IsolationError};
 use erebor_hw::layout::{self, direct_map};
 use erebor_hw::paging::{self, Pte, PteFlags};
 use erebor_hw::phys::Region;
@@ -38,6 +38,10 @@ pub const IOCTL_OUTPUT: u64 = 0x4501;
 
 /// Linux syscall numbers the interposer must recognise.
 pub const SYS_IOCTL: u64 = 16;
+
+/// Layout version of [`Monitor::export_state`]. Version 1 was the
+/// unversioned layout that still carried a shootdown-coalescing flag.
+pub const MONITOR_STATE_VERSION: u32 = 2;
 
 /// Saved CPU state for a monitor-internal privilege raise: monitor code
 /// executing outside the EMC gate (interposers, container lifecycle) must
@@ -109,12 +113,6 @@ pub struct Monitor {
     /// ordered-map lookups, with identical results; the fleet bench
     /// ablation and the equivalence suite flip this.
     pub fast_lookup: bool,
-    /// Coalesce the teardown/seal/reclaim shootdown traffic into one
-    /// IPI per (core, mm) maintenance window instead of per-page
-    /// round trips. Off by default: unlike `fast_lookup`, this changes
-    /// the *modeled* IPI cost (fewer interrupt deliveries), so it is an
-    /// explicit fleet-mode optimization, not a transparent fast path.
-    pub coalesce_shootdowns: bool,
     /// Lookup fast-path counters — deliberately outside
     /// [`MonitorStats`]/snapshots (see [`LookupStats`]).
     pub lookup_stats: LookupStats,
@@ -167,7 +165,6 @@ impl Monitor {
             sandboxes: SandboxTable::new(),
             common_regions: BTreeMap::new(),
             fast_lookup: true,
-            coalesce_shootdowns: false,
             lookup_stats: LookupStats::default(),
             kernel_text: None,
             kernel_syscall_entry: None,
@@ -236,6 +233,7 @@ impl Monitor {
     #[must_use]
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = erebor_wire::WireWriter::new();
+        w.u32(MONITOR_STATE_VERSION);
         w.bytes(&self.cfg.export_state());
         w.bytes(&self.stats.export_state());
         w.bytes(&self.frames.export_state());
@@ -258,7 +256,6 @@ impl Monitor {
             w.bytes(&region.export_state());
         }
         w.bool(self.fast_lookup);
-        w.bool(self.coalesce_shootdowns);
         match &self.kernel_text {
             None => w.bool(false),
             Some((va, frames)) => {
@@ -328,12 +325,17 @@ impl Monitor {
     /// than transferred, and [`LookupStats`] starts fresh.
     ///
     /// # Errors
-    /// [`erebor_wire::WireError`] on truncation, unknown tags, sparse
-    /// or out-of-order sandbox ids, duplicate region ids, or trailing
-    /// bytes.
+    /// [`erebor_wire::WireError`] on a version mismatch, truncation,
+    /// unknown tags, sparse or out-of-order sandbox ids, duplicate
+    /// region ids, or trailing bytes.
     pub fn import_state(bytes: &[u8]) -> Result<Monitor, erebor_wire::WireError> {
         use erebor_wire::WireError;
         let mut r = erebor_wire::WireReader::new(bytes);
+        if r.u32()? != MONITOR_STATE_VERSION {
+            return Err(WireError::BadValue {
+                what: "monitor state version",
+            });
+        }
         let cfg = ExecConfig::import_state(r.bytes()?)?;
         let stats = MonitorStats::import_state(r.bytes()?)?;
         let frames = FrameTable::import_state(r.bytes()?)?;
@@ -373,7 +375,6 @@ impl Monitor {
             }
         }
         let fast_lookup = r.bool()?;
-        let coalesce_shootdowns = r.bool()?;
         let kernel_text = if r.bool()? {
             let va = VirtAddr(r.u64()?);
             let n = r.seq(8)?;
@@ -478,7 +479,6 @@ impl Monitor {
             sandboxes,
             common_regions,
             fast_lookup,
-            coalesce_shootdowns,
             lookup_stats: LookupStats::default(),
             kernel_text,
             kernel_syscall_entry,
@@ -1363,71 +1363,72 @@ impl Monitor {
         // (the PCONFIG analogue).
         let tag = self.backend.frame_tag(domain);
         let frame_key = self.backend.frame_key(domain);
+        let flags = if executable {
+            PteFlags::user_rx()
+        } else {
+            PteFlags::user_rw()
+        };
+        let kroot = self.kernel_root;
         // Arena path for sandbox boot: grab the whole confined window from
         // the CMA in one batch. `alloc_frames_in` yields exactly the frames
         // the seed's per-page `alloc_frame_in` loop would (CMA frames and
         // page-table frames come from disjoint, reserved-separated pools,
         // so hoisting the data-frame allocations cannot renumber either
         // stream), but costs one bitmap pass instead of `pages` rescans.
-        let mut arena: Vec<Frame> = Vec::with_capacity(pages as usize);
-        machine
-            .mem
-            .alloc_frames_in(self.cma, pages, &mut arena)
-            .map_err(|_| EmcError::NoMemory)?;
-        for (p, frame) in arena.into_iter().enumerate() {
-            let p = p as u64;
-            // Single-mapping policy: the frame must be fresh.
-            if self.frames.mapcount(frame) != 0 {
-                return Err(EmcError::Denied("confined frame already mapped"));
-            }
-            self.frames
-                .set_kind(frame, FrameKind::Confined { sandbox: id.0 })
-                .map_err(|_| EmcError::Denied("frame kind conflict"))?;
-            // Program the frame's key (TME-MK; no-op key 0 under PKS),
-            // then remove the kernel's direct-map view of the frame by
-            // retagging the alias with the backend's confined tag (the
-            // "not even the kernel" rule, §6.1 — normal-mode PKRS
-            // access-disables the tag's pkey under both backends).
-            machine.mem.set_frame_key(frame, frame_key);
-            mmu_guard::retag_direct_map_tagged(
-                machine,
-                cpu,
-                self.kernel_root,
-                frame,
-                tag.pkey,
-                tag.keyid,
-            )?;
-            let page_va = va.add(p * PAGE_SIZE as u64);
-            let flags = if executable {
-                PteFlags::user_rx()
-            } else {
-                PteFlags::user_rw()
-            };
-            mmu_guard::checked_map(
-                machine,
-                cpu,
-                &mut self.frames,
-                self.kernel_root,
-                root,
-                page_va,
-                Pte::encode(frame, flags).with_keyid(tag.keyid),
-            )
-            .map_err(map_err)?;
-            self.frames.inc_map(frame);
-            // Pre-allocation of pinned confined memory triggers a page
-            // fault per page whose handling runs at EMC-mediated cost —
-            // the paper's one-time initialization overhead (§9.2,
-            // Table 6 "Init. Overhead").
-            machine
-                .cycles
-                .charge(machine.costs.pf_fixed + machine.costs.rdmsr + 2 * machine.costs.wrmsr);
-            let sandbox = self
-                .sandboxes
-                .get_mut(&id.0)
-                .ok_or(EmcError::BadRequest("no such sandbox"))?;
-            sandbox.confined.push((page_va, frame));
-            sandbox.logical_confined_bytes += PAGE_SIZE as u64;
+        let mut arena = Vec::with_capacity(pages as usize);
+        // Each frame is owned by the sandbox from the moment it is typed,
+        // so `kill_sandbox` releases it even if a later page fails. The
+        // alias retags are gathered into one broadcast round.
+        let mut gather = mmu_guard::TlbGather::default();
+        let mut owned = 0;
+        let res = match machine.mem.alloc_frames_in(self.cma, pages, &mut arena) {
+            Err(_) => Err(EmcError::NoMemory),
+            Ok(()) => arena.iter().zip(0u64..).try_for_each(|(&frame, p)| {
+                // Single-mapping policy: the frame must be fresh.
+                if self.frames.mapcount(frame) != 0 {
+                    return Err(EmcError::Denied("confined frame already mapped"));
+                }
+                let sandbox = self
+                    .sandboxes
+                    .get_mut(&id.0)
+                    .ok_or(EmcError::BadRequest("no such sandbox"))?;
+                self.frames
+                    .set_kind(frame, FrameKind::Confined { sandbox: id.0 })
+                    .map_err(|_| EmcError::Denied("frame kind conflict"))?;
+                let page_va = va.add(p * PAGE_SIZE as u64);
+                sandbox.confined.push((page_va, frame));
+                sandbox.logical_confined_bytes += PAGE_SIZE as u64;
+                owned += 1;
+                // Program the frame's key (TME-MK; no-op key 0 under PKS),
+                // then remove the kernel's direct-map view of the frame by
+                // retagging the alias with the backend's confined tag (the
+                // "not even the kernel" rule, §6.1 — normal-mode PKRS
+                // access-disables the tag's pkey under both backends).
+                machine.mem.set_frame_key(frame, frame_key);
+                mmu_guard::retag_direct_map_gathered(machine, cpu, kroot, frame, tag, &mut gather)?;
+                let leaf = Pte::encode(frame, flags).with_keyid(tag.keyid);
+                mmu_guard::checked_map(machine, cpu, &mut self.frames, kroot, root, page_va, leaf)
+                    .map_err(map_err)?;
+                self.frames.inc_map(frame);
+                // Pre-allocation of pinned confined memory triggers a page
+                // fault per page whose handling runs at EMC-mediated cost —
+                // the paper's one-time initialization overhead (§9.2,
+                // Table 6 "Init. Overhead").
+                machine
+                    .cycles
+                    .charge(machine.costs.pf_fixed + machine.costs.rdmsr + 2 * machine.costs.wrmsr);
+                Ok(())
+            }),
+        };
+        let flushed = gather.finish(machine, cpu);
+        // Hand back every frame the sandbox does not own: a failed batch
+        // keeps the frames it got, and a failed page leaves the rest
+        // untouched.
+        for &f in &arena[owned..] {
+            machine.mem.free_frame(f).ok();
         }
+        res?;
+        flushed.map_err(EmcError::Fault)?;
         self.stats.pte_updates = self.stats.pte_updates.saturating_add(pages);
         Ok(())
     }
@@ -1673,43 +1674,20 @@ impl Monitor {
                 (s.root, pages)
             };
             let guard = PrivGuard::enter(machine, cpu).map_err(EmcError::Fault)?;
-            let mut seal_res = Ok(());
-            if self.coalesce_shootdowns {
-                // Downgrade every materialized leaf, then one coalesced
-                // shootdown for the sandbox's whole window.
-                let mut downgraded: Vec<VirtAddr> = Vec::with_capacity(pages.len());
-                for page in pages {
-                    if let Err(e) =
-                        mmu_guard::checked_update_leaf(machine, cpu, root, page, Pte::read_only)
-                    {
-                        seal_res = Err(map_err(e));
-                        break;
-                    }
-                    downgraded.push(page);
-                    self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-                }
-                if !downgraded.is_empty() {
-                    if let Err(e) = machine.tlb_shootdown_mm(cpu, root, &downgraded) {
-                        seal_res = seal_res.and(Err(EmcError::Fault(e)));
-                    }
-                }
-            } else {
-                for page in pages {
-                    if let Err(e) =
-                        mmu_guard::checked_update_leaf(machine, cpu, root, page, Pte::read_only)
-                    {
-                        seal_res = Err(map_err(e));
-                        break;
-                    }
-                    if let Err(e) = machine.tlb_shootdown_mm(cpu, root, &[page]) {
-                        seal_res = Err(EmcError::Fault(e));
-                        break;
-                    }
-                    self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-                }
-            }
+            // Downgrade every materialized leaf, then one shootdown round
+            // for the sandbox's whole window.
+            let mut gather = mmu_guard::TlbGather::default();
+            let downgraded: Result<(), EmcError> = pages.into_iter().try_for_each(|page| {
+                mmu_guard::checked_update_leaf(machine, cpu, root, page, Pte::read_only)
+                    .map_err(map_err)?;
+                gather.user_page(root, page);
+                self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
+                Ok(())
+            });
+            let flushed = gather.finish(machine, cpu);
             guard.exit(machine, cpu);
-            seal_res?;
+            downgraded?;
+            flushed.map_err(EmcError::Fault)?;
         }
         Ok(())
     }
@@ -1753,60 +1731,23 @@ impl Monitor {
             let Ok(guard) = PrivGuard::enter(machine, cpu) else {
                 return reclaimed;
             };
-            if self.coalesce_shootdowns {
-                // Clear all victim leaves, one coalesced shootdown for the
-                // address space, then the per-page mapcount bookkeeping.
-                let mut cleared: Vec<(u32, VirtAddr)> = Vec::with_capacity(victims.len());
-                for (rid, page) in victims {
-                    if mmu_guard::checked_update_leaf(machine, cpu, root, page, |_| Pte::empty())
-                        .is_ok()
-                    {
-                        cleared.push((rid, page));
-                    }
-                }
-                if !cleared.is_empty() {
-                    let vas: Vec<VirtAddr> = cleared.iter().map(|&(_, p)| p).collect();
-                    machine.tlb_shootdown_mm(cpu, root, &vas).ok();
-                }
-                for (rid, page) in cleared {
-                    if let Some(region) = self.common_regions.get(&rid) {
-                        let idx = region
-                            .attached
-                            .iter()
-                            .find(|(sid, _)| sid.0 == id)
-                            .map(|(_, base)| ((page.0 - base.0) / PAGE_SIZE as u64) as usize);
-                        if let Some(idx) = idx {
-                            if let Some(f) = region.frames.get(idx) {
-                                self.frames.dec_map(*f);
-                            }
-                        }
-                    }
-                    reclaimed += 1;
-                    self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
-                }
-                guard.exit(machine, cpu);
-                continue;
-            }
+            // Clear all victim leaves, one shootdown round for the address
+            // space, then the per-page mapcount bookkeeping.
+            let mut gather = mmu_guard::TlbGather::default();
+            let mut cleared: Vec<(u32, VirtAddr)> = Vec::with_capacity(victims.len());
             for (rid, page) in victims {
                 if mmu_guard::checked_update_leaf(machine, cpu, root, page, |_| Pte::empty())
                     .is_ok()
                 {
-                    machine.tlb_shootdown_mm(cpu, root, &[page]).ok();
-                    if let Some(region) = self.common_regions.get(&rid) {
-                        let idx = region
-                            .attached
-                            .iter()
-                            .find(|(sid, _)| sid.0 == id)
-                            .map(|(_, base)| ((page.0 - base.0) / PAGE_SIZE as u64) as usize);
-                        if let Some(idx) = idx {
-                            if let Some(f) = region.frames.get(idx) {
-                                self.frames.dec_map(*f);
-                            }
-                        }
-                    }
-                    reclaimed += 1;
-                    self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
+                    gather.user_page(root, page);
+                    cleared.push((rid, page));
                 }
+            }
+            gather.finish(machine, cpu).ok();
+            for (rid, page) in cleared {
+                self.unmap_common_frame(SandboxId(id), rid, page);
+                reclaimed += 1;
+                self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
             }
             guard.exit(machine, cpu);
         }
@@ -1849,81 +1790,55 @@ impl Monitor {
         let Ok(guard) = PrivGuard::enter(machine, 0) else {
             return;
         };
-        if self.coalesce_shootdowns {
-            // Two-phase teardown: clear every leaf first, then close the
-            // whole stale-translation window with a single coalesced
-            // shootdown (one IPI per remote core; past the full-flush
-            // ceiling each core takes one full flush instead of per-page
-            // invalidations). Frames are still scrubbed/freed only
-            // *after* the shootdown — same safety order as the per-page
-            // path below.
-            let mut vas: Vec<VirtAddr> = Vec::with_capacity(confined.len() + commons.len());
-            for (va, _) in &confined {
-                mmu_guard::checked_update_leaf(machine, 0, root, *va, |_| Pte::empty()).ok();
-                vas.push(*va);
-            }
-            for (_, page) in &commons {
-                mmu_guard::checked_update_leaf(machine, 0, root, *page, |_| Pte::empty()).ok();
-                vas.push(*page);
-            }
-            if !vas.is_empty() {
-                machine.tlb_shootdown_mm(0, root, &vas).ok();
-            }
-            for (_, frame) in &confined {
-                self.frames.dec_map(*frame);
-                machine.mem.zero_frame(*frame).ok();
-                machine.mem.free_frame(*frame).ok();
-                self.frames.release(*frame).ok();
-            }
-            for (rid, page) in &commons {
-                if let Some(region) = self.common_regions.get(rid) {
-                    if let Some((_, base)) = region.attached.iter().find(|(sid, _)| sid.0 == id.0)
-                    {
-                        let idx = ((page.0 - base.0) / PAGE_SIZE as u64) as usize;
-                        if let Some(f) = region.frames.get(idx) {
-                            self.frames.dec_map(*f);
-                        }
-                    }
-                }
-            }
-            self.kill_fence_epilogue(machine, &confined, domain);
-            guard.exit(machine, 0);
-            return;
+        // Two-phase teardown: clear every leaf, then close the whole
+        // stale-translation window with one shootdown round (past the
+        // full-flush ceiling each core takes one full flush instead of
+        // per-page invalidations). Frames are scrubbed and freed only
+        // *after* that round: a stale translation to a freed frame is a
+        // cross-tenant leak.
+        let mut gather = mmu_guard::TlbGather::default();
+        let leaves = confined.iter().map(|&(va, _)| va);
+        for va in leaves.chain(commons.iter().map(|&(_, va)| va)) {
+            mmu_guard::checked_update_leaf(machine, 0, root, va, |_| Pte::empty()).ok();
+            gather.user_page(root, va);
         }
-        for (va, frame) in &confined {
-            mmu_guard::checked_update_leaf(machine, 0, root, *va, |_| Pte::empty()).ok();
-            // Shoot down *before* scrub/free: a stale translation to a
-            // freed frame is a cross-tenant leak.
-            machine.tlb_shootdown_mm(0, root, &[*va]).ok();
+        gather.finish(machine, 0).ok();
+        for (_, frame) in &confined {
             self.frames.dec_map(*frame);
             machine.mem.zero_frame(*frame).ok();
             machine.mem.free_frame(*frame).ok();
             self.frames.release(*frame).ok();
         }
-        for (rid, page) in commons {
-            mmu_guard::checked_update_leaf(machine, 0, root, page, |_| Pte::empty()).ok();
-            machine.tlb_shootdown_mm(0, root, &[page]).ok();
-            if let Some(region) = self.common_regions.get(&rid) {
-                if let Some((_, base)) = region.attached.iter().find(|(sid, _)| sid.0 == id.0) {
-                    let idx = ((page.0 - base.0) / PAGE_SIZE as u64) as usize;
-                    if let Some(f) = region.frames.get(idx) {
-                        self.frames.dec_map(*f);
-                    }
-                }
-            }
+        for &(rid, page) in &commons {
+            self.unmap_common_frame(id, rid, page);
         }
         self.kill_fence_epilogue(machine, &confined, domain);
         guard.exit(machine, 0);
+    }
+
+    /// Drop the mapcount of the common-region frame that `sandbox` had
+    /// materialized at `page`.
+    fn unmap_common_frame(&mut self, sandbox: SandboxId, region_id: u32, page: VirtAddr) {
+        let Some(region) = self.common_regions.get(&region_id) else {
+            return;
+        };
+        if let Some((_, base)) = region.attached.iter().find(|(sid, _)| *sid == sandbox) {
+            let idx = ((page.0 - base.0) / PAGE_SIZE as u64) as usize;
+            if let Some(f) = region.frames.get(idx) {
+                self.frames.dec_map(*f);
+            }
+        }
     }
 
     /// Post-teardown isolation fence, run with monitor privileges after
     /// the dead sandbox's frames are scrubbed and freed:
     ///
     /// 1. Retag every confined direct-map alias back to the default tag
-    ///    (pkey 0, key-ID 0). `free_frame` already dropped the frame's
-    ///    programmed key, so a surviving keyed alias would fault the
-    ///    frame's *next* owner; the sandbox-pkey alias would silently
-    ///    pin a now-free pkey under PKS.
+    ///    (pkey 0, key-ID 0), in one broadcast shootdown round.
+    ///    `free_frame` already dropped the frame's programmed key, so a
+    ///    surviving keyed alias would fault the frame's *next* owner;
+    ///    the sandbox-pkey alias would silently pin a now-free pkey
+    ///    under PKS.
     /// 2. Revoke the sandbox's isolation domain so the backend can
     ///    reuse it.
     /// 3. Drop the cpuid MRU so no cached cpuid answer outlives the
@@ -1940,10 +1855,16 @@ impl Monitor {
         if !self.kill_fence {
             return;
         }
-        for (_, frame) in confined {
-            mmu_guard::retag_direct_map_tagged(machine, 0, self.kernel_root, *frame, PK_DEFAULT, 0)
-                .ok();
+        let mut gather = mmu_guard::TlbGather::default();
+        let tag = FrameTag {
+            pkey: PK_DEFAULT,
+            keyid: 0,
+        };
+        let kroot = self.kernel_root;
+        for &(_, frame) in confined {
+            mmu_guard::retag_direct_map_gathered(machine, 0, kroot, frame, tag, &mut gather).ok();
         }
+        gather.finish(machine, 0).ok();
         self.backend.free_domain(domain).ok();
         self.cpuid_mru = None;
     }
@@ -2415,7 +2336,6 @@ mod migration_tests {
         m.as_index = m.address_spaces.iter().map(|(&k, &v)| (k, v)).collect();
         m.cpuid_cache.insert(1, [0xa, 0xb, 0xc, 0xd]);
         m.cpuid_mru = Some((1, [0xa, 0xb, 0xc, 0xd]));
-        m.coalesce_shootdowns = true;
 
         let mut sb = Sandbox::new(SandboxId(1), Frame(50), 8);
         sb.domain = DomainId(3);

@@ -292,16 +292,13 @@ impl Platform {
     }
 
     /// Toggle every fleet-mode fast path together: the bitmap frame
-    /// allocator scan (`PhysMemory::fast_scan`), the monitor's O(1)
-    /// lookup indexes (`Monitor::fast_lookup`), and coalesced
-    /// maintenance-window shootdowns (`Monitor::coalesce_shootdowns`).
-    /// `false` is the ablated baseline the fleet bench measures against:
-    /// the seed's linear frame scans, linear sandbox lookups, and
-    /// per-page shootdown traffic.
+    /// allocator scan (`PhysMemory::fast_scan`) and the monitor's O(1)
+    /// lookup indexes (`Monitor::fast_lookup`). `false` is the ablated
+    /// baseline the fleet bench measures against: the seed's linear frame
+    /// scans and linear sandbox lookups, with identical simulated results.
     pub fn set_fleet_mode(&mut self, enabled: bool) {
         self.cvm.machine.mem.fast_scan = enabled;
         self.cvm.monitor.fast_lookup = enabled;
-        self.cvm.monitor.coalesce_shootdowns = enabled;
     }
 
     /// Frame-allocator scan counters (host-side work, outside

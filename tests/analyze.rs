@@ -192,21 +192,44 @@ fn c2_confined_frame_with_wrong_domain_tag_is_flagged() {
     });
 }
 
+/// A live sandbox with one declared confined page, and that page's frame.
+fn sandbox_with_confined_page(p: &mut Platform) -> (erebor::ecore::sandbox::SandboxId, Frame) {
+    p.enter_kernel_mode();
+    let id = p
+        .cvm
+        .monitor
+        .create_sandbox(&mut p.cvm.machine, 0, 4)
+        .expect("create sandbox");
+    p.cvm
+        .monitor
+        .emc(
+            &mut p.cvm.machine,
+            &mut p.cvm.tdx,
+            0,
+            EmcRequest::DeclareConfined {
+                sandbox: id.0,
+                va: USER_VA,
+                pages: 1,
+                executable: false,
+            },
+        )
+        .expect("declare");
+    let sandbox = p.cvm.monitor.sandboxes.get(&id.0).expect("sandbox");
+    (id, sandbox.confined[0].1)
+}
+
 #[test]
 fn c3_confined_frame_reachable_from_kernel_root_is_flagged() {
     for_both_backends(|p| {
-        let f = p.cvm.machine.mem.alloc_frame().expect("frame");
-        p.cvm
-            .monitor
-            .frames
-            .set_kind(f, FrameKind::Confined { sandbox: 9 })
-            .expect("typed");
+        // A properly owned and tagged confined frame, mapped a second
+        // time into the kernel's own tree as a user page.
+        let (_, f) = sandbox_with_confined_page(p);
         map_raw(
             &mut p.cvm.machine.mem,
             p.cvm.monitor.kernel_root,
-            SCRATCH_VA,
-            Pte::encode(f, PteFlags::kernel_ro(policy::PK_DEFAULT)),
-            intermediate_for(PteFlags::kernel_ro(0)),
+            USER_VA,
+            Pte::encode(f, PteFlags::user_ro()),
+            intermediate_for(PteFlags::user_ro()),
         )
         .expect("map");
         only_check(&p.audit().findings, "confined-unreachable");
@@ -314,6 +337,25 @@ fn c8_stale_tlb_entry_after_backdoor_unmap_is_flagged() {
         p.cvm.machine.mem.write_u64(slot, 0).expect("backdoor store");
         only_check(&p.audit().findings, "ledger-consistency");
     }
+}
+
+#[test]
+fn c8_confined_frame_the_sandbox_does_not_own_is_flagged() {
+    for_both_backends(|p| {
+        // Dropped from the owner's list: no kill would ever release it.
+        let (id, _) = sandbox_with_confined_page(p);
+        assert!(p.audit().is_clean());
+        let sandbox = p.cvm.monitor.sandboxes.get_mut(&id.0).expect("sandbox");
+        sandbox.confined.clear();
+        only_check(&p.audit().findings, "ledger-consistency");
+    });
+    for_both_backends(|p| {
+        // Owner marked dead without its teardown running.
+        let (id, _) = sandbox_with_confined_page(p);
+        let sandbox = p.cvm.monitor.sandboxes.get_mut(&id.0).expect("sandbox");
+        sandbox.state = erebor::ecore::sandbox::SandboxState::Dead;
+        only_check(&p.audit().findings, "ledger-consistency");
+    });
 }
 
 // ====================================================================

@@ -610,9 +610,9 @@ impl Injector for FleetIpiChaos {
     }
 }
 
-/// Fleet-scale chaos campaign body (coalesced shootdowns on),
-/// parameterized over the isolation backend and fleet size: kill/redeploy
-/// churn issues full-mm coalesced batches while the injector drops IPIs
+/// Fleet-scale chaos campaign body (fleet mode on), parameterized over
+/// the isolation backend and fleet size: kill/redeploy churn issues
+/// gathered full-mm batches while the injector drops IPIs
 /// and delivers spurious flushes. The dropped full-flush batches must
 /// land in the per-ASID pending ledger, the TLB-coherence invariant and
 /// the full audit must stay green (every stale window is accounted), and
@@ -632,7 +632,7 @@ fn run_fleet_chaos_campaign(backend: erebor::ehw::isolation::BackendKind, slots:
     cfg.config.backend = backend;
     let mut p = Platform::boot_with(cfg).unwrap();
     p.set_fleet_mode(true);
-    assert!(p.cvm.monitor.coalesce_shootdowns);
+    assert!(p.cvm.monitor.fast_lookup && p.cvm.machine.mem.fast_scan);
     p.install_injector(inject_handle(FleetIpiChaos::new(0xf1ee_7caf)));
 
     // 40 confined pages per server: past the full-flush ceiling (32),

@@ -8,12 +8,6 @@
 //! counters ([`erebor::ecore::stats::LookupStats`], `AllocStats`),
 //! which live outside every snapshot.
 //!
-//! Shootdown coalescing is the one fleet toggle that *changes modeled
-//! cycles* by design (fewer, batched IPIs), so it stays off on both
-//! sides of the byte-equivalence properties; its own guarantees are
-//! same-seed determinism (asserted here) and the race-detector/audit
-//! claims (tests/chaos.rs).
-//!
 //! Reproducible via `EREBOR_PT_SEED` like every other property test.
 
 use erebor::ecore::channel::Client;
@@ -29,9 +23,6 @@ fn fleet_platform(fast: bool) -> Platform {
     let mut p = Platform::boot(Mode::Full).expect("boot");
     p.cvm.machine.mem.fast_scan = fast;
     p.cvm.monitor.fast_lookup = fast;
-    // Coalescing changes the modeled IPI cycle stream; keep it out of
-    // the byte-equivalence comparison on both sides.
-    p.cvm.monitor.coalesce_shootdowns = false;
     p.cvm.machine.mem.alloc_stats = Default::default();
     p.cvm.monitor.lookup_stats.reset();
     p
@@ -260,9 +251,9 @@ fn fleet_schedule_identical_across_toggle() {
     assert!(off.audit().is_clean());
 }
 
-/// Coalesced shootdowns change the modeled IPI stream, so their claim
-/// is same-seed determinism: two identical campaigns with the *full*
-/// fleet mode (coalescing included) produce byte-identical traces.
+/// Same-seed determinism of the full fleet mode: two identical
+/// campaigns, each kill and seal paying one gathered shootdown round,
+/// produce byte-identical traces and audit clean.
 #[test]
 fn coalesced_campaign_is_deterministic() {
     let cfg = tiny_fleet_config();

@@ -538,3 +538,23 @@ fn source_refuses_unattested_destination() {
     assert!(!src.cvm.machine.mem.dirty_tracking());
     assert!(src.audit().is_clean());
 }
+
+/// The monitor section carries a layout version; a section written at
+/// the previous layout is refused typed, never half-parsed.
+#[test]
+fn monitor_section_at_the_old_version_is_refused() {
+    use erebor::ecore::monitor::{Monitor, MONITOR_STATE_VERSION};
+    let p = boot(11, BackendKind::Pks);
+    let mut bytes = p.cvm.monitor.export_state();
+    assert!(
+        Monitor::import_state(&bytes).is_ok(),
+        "current version imports"
+    );
+    bytes[..4].copy_from_slice(&(MONITOR_STATE_VERSION - 1).to_le_bytes());
+    assert_eq!(
+        Monitor::import_state(&bytes).err(),
+        Some(erebor_wire::WireError::BadValue {
+            what: "monitor state version"
+        })
+    );
+}

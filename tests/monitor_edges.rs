@@ -239,3 +239,77 @@ fn emc_denied_entirely_without_monitor() {
     let err = emc(&mut p, EmcRequest::Nop).expect_err("no monitor");
     assert!(matches!(err, EmcError::Denied(_)));
 }
+
+/// Fails exactly the `n`-th frame allocation it is consulted on.
+struct FailAllocN {
+    n: u64,
+    seen: u64,
+}
+
+impl erebor_hw::inject::Injector for FailAllocN {
+    fn fail_alloc(&mut self) -> bool {
+        self.seen += 1;
+        self.seen == self.n
+    }
+}
+
+const DECLARED_PAGES: u64 = 8;
+
+/// Create a sandbox, issue one `DeclareConfined` of [`DECLARED_PAGES`]
+/// pages with allocation `fail_at` failing (or, with `None`, a request
+/// refused before it allocates anything), kill the sandbox, and report
+/// `(allocated frames, frames still confined to it)` after the kill.
+fn failed_declare_then_kill(fail_at: Option<u64>) -> (u64, u64) {
+    let mut p = full();
+    p.enter_kernel_mode();
+    let id = p
+        .cvm
+        .monitor
+        .create_sandbox(&mut p.cvm.machine, 0, DECLARED_PAGES)
+        .expect("create sandbox");
+    let pages = match fail_at {
+        Some(n) => {
+            p.install_injector(erebor_hw::inject::handle(FailAllocN { n, seen: 0 }));
+            DECLARED_PAGES
+        }
+        None => DECLARED_PAGES + 1, // over budget: refused up front
+    };
+    let res = emc(
+        &mut p,
+        EmcRequest::DeclareConfined {
+            sandbox: id.0,
+            va: VirtAddr(0x40_0000),
+            pages,
+            executable: false,
+        },
+    );
+    p.clear_injector();
+    assert!(res.is_err(), "declaration must fail (fail_at {fail_at:?})");
+    p.cvm
+        .monitor
+        .kill_sandbox(&mut p.cvm.machine, id, "failed declaration");
+    let report = p.audit();
+    assert!(report.is_clean(), "fail_at {fail_at:?}: {}", report.json());
+    let confined = p
+        .cvm
+        .monitor
+        .frames
+        .count_kind(|k| k == erebor_core::policy::FrameKind::Confined { sandbox: id.0 });
+    (p.cvm.machine.mem.allocated_frames(), confined)
+}
+
+#[test]
+fn failed_declare_confined_leaks_no_frame() {
+    let (baseline, none) = failed_declare_then_kill(None);
+    assert_eq!(none, 0);
+    // Allocations 1..=8 are the confined arena; 9 is the first page-table
+    // page of the first mapping.
+    for n in [1, 4, DECLARED_PAGES, DECLARED_PAGES + 1] {
+        let (allocated, confined) = failed_declare_then_kill(Some(n));
+        assert_eq!(allocated, baseline, "allocation {n} failed: frames leaked");
+        assert_eq!(
+            confined, 0,
+            "allocation {n} failed: a confined frame outlived the kill"
+        );
+    }
+}

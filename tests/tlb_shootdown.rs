@@ -11,6 +11,7 @@ use erebor::{Mode, Platform};
 use erebor_core::emc::{EmcRequest, EmcResponse};
 use erebor_hw::cpu::Domain;
 use erebor_hw::fault::{AccessKind, PfReason};
+use erebor_hw::layout::direct_map;
 use erebor_hw::{paging, CpuMode, Frame, VirtAddr};
 
 const VA: VirtAddr = VirtAddr(0x40_0000);
@@ -207,4 +208,169 @@ fn permission_downgrade_is_visible_without_an_address_space_reload() {
         .machine
         .probe(0, VA, AccessKind::Read)
         .expect("reads still fine");
+}
+
+// --------------------------------------------------------------------
+// Gathered shootdowns: one IPI round per confine and per teardown
+// --------------------------------------------------------------------
+
+/// Confined pages per declaration: past the 32-page full-flush ceiling.
+const CONFINED_PAGES: u64 = 40;
+const CONFINED_VA: VirtAddr = VirtAddr(0x60_0000);
+
+/// Create a sandbox whose first confined page is already declared, so
+/// every page table under [`CONFINED_VA`]'s 2 MiB window exists. The
+/// page-table retypes of a first mapping keep their own immediate
+/// shootdowns (each new table is written straight after its retag);
+/// the counts below are about the confined aliases alone.
+fn sandbox_with_tables(p: &mut Platform) -> erebor_core::sandbox::SandboxId {
+    p.enter_kernel_mode();
+    let id = p
+        .cvm
+        .monitor
+        .create_sandbox(&mut p.cvm.machine, 0, 2 * CONFINED_PAGES)
+        .expect("create sandbox");
+    declare(p, id, CONFINED_VA, 1).expect("first page");
+    id
+}
+
+fn declare(
+    p: &mut Platform,
+    id: erebor_core::sandbox::SandboxId,
+    va: VirtAddr,
+    pages: u64,
+) -> Result<EmcResponse, erebor_core::emc::EmcError> {
+    p.enter_kernel_mode();
+    p.cvm.monitor.emc(
+        &mut p.cvm.machine,
+        &mut p.cvm.tdx,
+        0,
+        EmcRequest::DeclareConfined {
+            sandbox: id.0,
+            va,
+            pages,
+            executable: false,
+        },
+    )
+}
+
+/// Put `cpu` in the kernel (supervisor, normal-mode PKRS) with a clean TLB.
+fn run_kernel(p: &mut Platform, cpu: usize) {
+    p.cvm.machine.flush_tlb(cpu);
+    p.cvm.machine.cpus[cpu].mode = CpuMode::Supervisor;
+    p.cvm.machine.cpus[cpu].domain = Domain::Kernel;
+}
+
+#[test]
+fn declare_confined_pays_one_ipi_round() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let cores = p.cvm.machine.cpus.len() as u64;
+    let id = sandbox_with_tables(&mut p);
+    let before = p.cvm.machine.stats.tlb_shootdown_ipis;
+    declare(&mut p, id, VirtAddr(CONFINED_VA.0 + 0x1000), CONFINED_PAGES).expect("declare");
+    let sent = p.cvm.machine.stats.tlb_shootdown_ipis - before;
+    // At most one IPI per remote core: C - 1.
+    assert!(
+        sent < cores,
+        "{CONFINED_PAGES} confined aliases cost {sent} IPIs on {cores} cores"
+    );
+}
+
+#[test]
+fn kill_pays_at_most_two_ipi_rounds() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let cores = p.cvm.machine.cpus.len() as u64;
+    let id = sandbox_with_tables(&mut p);
+    declare(&mut p, id, VirtAddr(CONFINED_VA.0 + 0x1000), CONFINED_PAGES).expect("declare");
+    // Core 1 runs the sandbox, so the user-page round has a target too.
+    let root = p.cvm.monitor.sandboxes.get(&id.0).expect("sandbox").root;
+    run_user(&mut p, 1, root);
+    let before = p.cvm.machine.stats.tlb_shootdown_ipis;
+    p.cvm
+        .monitor
+        .kill_sandbox(&mut p.cvm.machine, id, "teardown count");
+    let sent = p.cvm.machine.stats.tlb_shootdown_ipis - before;
+    assert!(sent >= 1, "core 1 runs the dead root and must be IPI'd");
+    assert!(
+        sent <= 2 * (cores - 1),
+        "a kill of {} confined pages cost {sent} IPIs on {cores} cores",
+        CONFINED_PAGES + 1
+    );
+}
+
+/// Kill a sandbox holding [`CONFINED_PAGES`] + 1 frames and return them:
+/// first-fit CMA allocation hands exactly these frames to the next
+/// declaration of the same size.
+fn recycled_frames(p: &mut Platform) -> Vec<Frame> {
+    let id = sandbox_with_tables(p);
+    declare(p, id, VirtAddr(CONFINED_VA.0 + 0x1000), CONFINED_PAGES).expect("declare");
+    let frames = confined_frames(p, id);
+    p.cvm
+        .monitor
+        .kill_sandbox(&mut p.cvm.machine, id, "recycle");
+    frames
+}
+
+fn confined_frames(p: &Platform, id: erebor_core::sandbox::SandboxId) -> Vec<Frame> {
+    let sandbox = p.cvm.monitor.sandboxes.get(&id.0).expect("sandbox");
+    sandbox.confined.iter().map(|&(_, f)| f).collect()
+}
+
+/// Core 1, in the kernel, caches the direct-map alias of each frame.
+fn cache_aliases(p: &mut Platform, frames: &[Frame]) {
+    run_kernel(p, 1);
+    for f in frames {
+        p.cvm
+            .machine
+            .probe(1, direct_map(f.base()), AccessKind::Read)
+            .expect("a free frame's alias is kernel-readable");
+    }
+}
+
+#[test]
+fn stale_direct_map_alias_dies_with_declare_confined() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let frames = recycled_frames(&mut p);
+    cache_aliases(&mut p, &frames);
+    let id = sandbox_with_tables(&mut p);
+    declare(&mut p, id, VirtAddr(CONFINED_VA.0 + 0x1000), CONFINED_PAGES).expect("declare");
+    let confined = confined_frames(&p, id);
+    assert!(
+        confined.iter().all(|f| frames.contains(f)),
+        "the new sandbox reuses the recycled frames"
+    );
+    for f in confined {
+        let err = p
+            .cvm
+            .machine
+            .probe(1, direct_map(f.base()), AccessKind::Read)
+            .expect_err("the kernel's cached alias must not outlive the confine");
+        assert!(err.is_pf(PfReason::PksAccessDisabled), "{err:?}");
+    }
+}
+
+struct DropAllIpis;
+
+impl erebor_hw::inject::Injector for DropAllIpis {
+    fn drop_shootdown_ipi(&mut self, _initiator: usize, _target: usize) -> bool {
+        true
+    }
+}
+
+#[test]
+fn dropped_confine_round_is_a_tolerated_ledger_row() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let frames = recycled_frames(&mut p);
+    cache_aliases(&mut p, &frames);
+    let id = sandbox_with_tables(&mut p);
+    p.install_injector(erebor_hw::inject::handle(DropAllIpis));
+    declare(&mut p, id, VirtAddr(CONFINED_VA.0 + 0x1000), CONFINED_PAGES).expect("declare");
+    p.clear_injector();
+    assert!(
+        p.cvm.machine.pending_asid_shootdowns().contains(&(1, 0)),
+        "the dropped broadcast round must leave a (core 1, all roots) row: {:?}",
+        p.cvm.machine.pending_asid_shootdowns()
+    );
+    let report = p.audit();
+    assert!(report.is_clean(), "{}", report.json());
 }
