@@ -583,10 +583,7 @@ fn check_ledger_consistency(view: &MachineView, leaves: &[LeafMapping], report: 
         .filter(|s| s.state != SandboxState::Dead)
         .flat_map(|s| s.confined.iter().map(move |(_, f)| (s.id.0, f.0)))
         .collect();
-    for f in (0..machine.mem.total_frames()).map(Frame) {
-        let FrameKind::Confined { sandbox } = mon.frames.kind(f) else {
-            continue;
-        };
+    for (f, sandbox) in mon.frames.confined() {
         if !owned.contains(&(sandbox, f.0)) {
             report.findings.push(Finding::new(
                 "ledger-consistency",

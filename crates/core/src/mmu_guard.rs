@@ -34,58 +34,59 @@ pub fn pte_read_raw(machine: &Machine, slot: PhysAddr) -> Pte {
     Pte(machine.mem.read_u64(slot).unwrap_or(0))
 }
 
-/// The VAs a monitor operation has made stale, gathered so the operation
-/// pays one IPI round per address space instead of one per page — the
-/// monitor's analogue of Linux's `mmu_gather`.
+/// The VAs a monitor operation has made stale in one address space,
+/// gathered so the operation pays one IPI round instead of one per page —
+/// the monitor's analogue of Linux's `mmu_gather`.
 ///
-/// Direct-map aliases (kernel half, visible under every root) are
-/// broadcast; user pages are sent only to the cores running their root.
-/// [`TlbGather::finish`] must run before the EMC returns, on every path,
-/// and before any gathered frame is scrubbed, freed, or reached through
-/// its old alias. Past [`Machine::SHOOTDOWN_FULL_FLUSH_CEILING`] pages a
-/// round full-flushes, and a dropped IPI lands in the staleness ledgers,
-/// exactly as for any other batched shootdown.
+/// A [`TlbGather::kernel`] gather holds direct-map aliases (kernel half,
+/// visible under every root) and broadcasts; a [`TlbGather::user`] gather
+/// is sent only to the cores running its root. [`TlbGather::finish`] must
+/// run before the EMC returns, on every path, and before any gathered
+/// frame is scrubbed, freed, or reached through its old alias. Past
+/// [`Machine::SHOOTDOWN_FULL_FLUSH_CEILING`] pages the round full-flushes,
+/// and a dropped IPI lands in the staleness ledgers, exactly as for any
+/// other batched shootdown.
 #[must_use = "a TLB gather does nothing until it is finished"]
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TlbGather {
-    /// One round per address space, in first-use order: `None` is the
-    /// kernel half (broadcast), `Some(root)` a user root.
-    rounds: Vec<(Option<Frame>, Vec<VirtAddr>)>,
+    /// `None` is the kernel half (broadcast), `Some(root)` a user root.
+    root: Option<Frame>,
+    vas: Vec<VirtAddr>,
 }
 
 impl TlbGather {
-    fn record(&mut self, root: Option<Frame>, va: VirtAddr) {
-        match self.rounds.iter_mut().find(|(r, _)| *r == root) {
-            Some((_, vas)) => vas.push(va),
-            None => self.rounds.push((root, vec![va])),
+    /// A gather for kernel-half VAs, broadcast on finish.
+    pub fn kernel() -> TlbGather {
+        TlbGather {
+            root: None,
+            vas: Vec::new(),
         }
     }
 
-    /// Record a stale kernel-half VA (broadcast on finish).
-    pub fn kernel_page(&mut self, va: VirtAddr) {
-        self.record(None, va);
+    /// A gather for user VAs under `root`, sent to `root`'s cores.
+    pub fn user(root: Frame) -> TlbGather {
+        TlbGather {
+            root: Some(root),
+            vas: Vec::new(),
+        }
     }
 
-    /// Record a stale user VA under `root` (sent to `root`'s cores).
-    pub fn user_page(&mut self, root: Frame, va: VirtAddr) {
-        self.record(Some(root), va);
+    /// Record a stale VA.
+    pub fn page(&mut self, va: VirtAddr) {
+        self.vas.push(va);
     }
 
-    /// Issue the gathered invalidations: one broadcast batch for the
-    /// kernel-half VAs and one targeted batch per user root. Every round
-    /// is attempted even if an earlier one faults.
+    /// Issue the gathered invalidations as one shootdown round (none if
+    /// nothing was gathered).
     ///
     /// # Errors
-    /// The first shootdown fault (`#GP` off a supervisor initiator).
-    pub fn finish(mut self, machine: &mut Machine, cpu: usize) -> Result<(), Fault> {
-        let mut res = Ok(());
-        for (root, vas) in core::mem::take(&mut self.rounds) {
-            res = res.and(match root {
-                None => machine.tlb_shootdown_batch(cpu, &vas),
-                Some(root) => machine.tlb_shootdown_mm(cpu, root, &vas),
-            });
+    /// `#GP` off a supervisor initiator.
+    pub fn finish(self, machine: &mut Machine, cpu: usize) -> Result<(), Fault> {
+        match self.root {
+            _ if self.vas.is_empty() => Ok(()),
+            None => machine.tlb_shootdown_batch(cpu, &self.vas),
+            Some(root) => machine.tlb_shootdown_mm(cpu, root, &self.vas),
         }
-        res
     }
 }
 
@@ -103,21 +104,22 @@ pub fn retag_direct_map(
     frame: Frame,
     kind: FrameKind,
 ) -> Result<(), Fault> {
-    let mut gather = TlbGather::default();
     let tag = FrameTag {
         pkey: pkey_for(kind),
         keyid: 0,
     };
-    let res = retag_direct_map_gathered(machine, cpu, kernel_root, frame, tag, &mut gather);
-    gather.finish(machine, cpu).and(res)
+    match write_direct_map_tag(machine, cpu, kernel_root, frame, tag)? {
+        Some(va) => machine.tlb_shootdown(cpu, va),
+        None => Ok(()),
+    }
 }
 
 /// Rewrite the direct-map leaf for `frame` with an *explicit* isolation
 /// tag — protection key plus TME-MK key-ID — rather than one derived
-/// from a frame kind, recording a stale alias in `gather` instead of
-/// shooting it down. Confined-memory aliases use this: under the PKS
-/// backend the tag is the owning sandbox's pkey (key-ID 0), under the
-/// TME-MK backend it is `PK_MONITOR` plus the sandbox's key-ID.
+/// from a frame kind, recording a stale alias in the kernel-half `gather`
+/// instead of shooting it down. Confined-memory aliases use this: under
+/// the PKS backend the tag is the owning sandbox's pkey (key-ID 0), under
+/// the TME-MK backend it is `PK_MONITOR` plus the sandbox's key-ID.
 ///
 /// # Errors
 /// Propagates checked-write faults.
@@ -129,6 +131,22 @@ pub fn retag_direct_map_gathered(
     tag: FrameTag,
     gather: &mut TlbGather,
 ) -> Result<(), Fault> {
+    debug_assert!(gather.root.is_none(), "direct-map aliases need a kernel gather");
+    if let Some(va) = write_direct_map_tag(machine, cpu, kernel_root, frame, tag)? {
+        gather.page(va);
+    }
+    Ok(())
+}
+
+/// Write `frame`'s direct-map leaf with `tag`, returning the alias VA when
+/// a cached translation of it is now stale.
+fn write_direct_map_tag(
+    machine: &mut Machine,
+    cpu: usize,
+    kernel_root: Frame,
+    frame: Frame,
+    tag: FrameTag,
+) -> Result<Option<VirtAddr>, Fault> {
     let dm_va = direct_map(frame.base());
     let slot = paging::leaf_slot(&machine.mem, kernel_root, dm_va)
         .map_err(|_| Fault::Unrecoverable("direct-map walk left DRAM"))?
@@ -143,18 +161,16 @@ pub fn retag_direct_map_gathered(
     };
     let pte = Pte::encode(frame, flags).with_keyid(tag.keyid);
     pte_write(machine, cpu, slot, pte)?;
-    if old.present() && (old.pkey() != tag.pkey || old.keyid() != tag.keyid) {
-        // The retype changed the frame's isolation tag: a cached
-        // direct-map translation carrying the old tag on any core would
-        // let the kernel keep writing a frame that just became trusted
-        // (PTP/monitor/confined) state — the stale-sEPT hazard class.
-        // Gather it for a broadcast shootdown. Tag-preserving retypes
-        // (e.g. free → user data, both PK_DEFAULT) need no flush: the
-        // cached permissions are still exact. A key-ID change is the
-        // PCONFIG reprogramming case and needs the same flush discipline.
-        gather.kernel_page(dm_va);
-    }
-    Ok(())
+    // A retype that changed the frame's isolation tag leaves a cached
+    // direct-map translation carrying the old tag, which on any core
+    // would let the kernel keep writing a frame that just became trusted
+    // (PTP/monitor/confined) state — the stale-sEPT hazard class — so the
+    // alias must be shot down everywhere. Tag-preserving retypes (e.g.
+    // free → user data, both PK_DEFAULT) need no flush: the cached
+    // permissions are still exact. A key-ID change is the PCONFIG
+    // reprogramming case and needs the same flush discipline.
+    let stale = old.present() && (old.pkey() != tag.pkey || old.keyid() != tag.keyid);
+    Ok(stale.then_some(dm_va))
 }
 
 /// Walk (creating intermediate PTPs as needed) and install `leaf_pte` for

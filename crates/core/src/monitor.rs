@@ -43,6 +43,13 @@ pub const SYS_IOCTL: u64 = 16;
 /// unversioned layout that still carried a shootdown-coalescing flag.
 pub const MONITOR_STATE_VERSION: u32 = 2;
 
+/// The direct-map tag of a frame no sandbox confines: default pkey, no
+/// key-ID.
+const UNCONFINED: FrameTag = FrameTag {
+    pkey: PK_DEFAULT,
+    keyid: 0,
+};
+
 /// Saved CPU state for a monitor-internal privilege raise: monitor code
 /// executing outside the EMC gate (interposers, container lifecycle) must
 /// run in ring 0, monitor domain, with monitor PKRS — and restore the
@@ -1376,11 +1383,13 @@ impl Monitor {
         // so hoisting the data-frame allocations cannot renumber either
         // stream), but costs one bitmap pass instead of `pages` rescans.
         let mut arena = Vec::with_capacity(pages as usize);
-        // Each frame is owned by the sandbox from the moment it is typed,
-        // so `kill_sandbox` releases it even if a later page fails. The
-        // alias retags are gathered into one broadcast round.
-        let mut gather = mmu_guard::TlbGather::default();
+        // A frame joins the sandbox's confined list once it is mapped, so
+        // `kill_sandbox` releases it even if a later page fails; the page
+        // in flight when one fails is rolled back below. The alias retags
+        // are gathered into one broadcast round.
+        let mut gather = mmu_guard::TlbGather::kernel();
         let mut owned = 0;
+        let mut in_flight = None;
         let res = match machine.mem.alloc_frames_in(self.cma, pages, &mut arena) {
             Err(_) => Err(EmcError::NoMemory),
             Ok(()) => arena.iter().zip(0u64..).try_for_each(|(&frame, p)| {
@@ -1395,10 +1404,7 @@ impl Monitor {
                 self.frames
                     .set_kind(frame, FrameKind::Confined { sandbox: id.0 })
                     .map_err(|_| EmcError::Denied("frame kind conflict"))?;
-                let page_va = va.add(p * PAGE_SIZE as u64);
-                sandbox.confined.push((page_va, frame));
-                sandbox.logical_confined_bytes += PAGE_SIZE as u64;
-                owned += 1;
+                in_flight = Some(frame);
                 // Program the frame's key (TME-MK; no-op key 0 under PKS),
                 // then remove the kernel's direct-map view of the frame by
                 // retagging the alias with the backend's confined tag (the
@@ -1407,9 +1413,14 @@ impl Monitor {
                 machine.mem.set_frame_key(frame, frame_key);
                 mmu_guard::retag_direct_map_gathered(machine, cpu, kroot, frame, tag, &mut gather)?;
                 let leaf = Pte::encode(frame, flags).with_keyid(tag.keyid);
+                let page_va = va.add(p * PAGE_SIZE as u64);
                 mmu_guard::checked_map(machine, cpu, &mut self.frames, kroot, root, page_va, leaf)
                     .map_err(map_err)?;
                 self.frames.inc_map(frame);
+                sandbox.confined.push((page_va, frame));
+                sandbox.logical_confined_bytes += PAGE_SIZE as u64;
+                owned += 1;
+                in_flight = None;
                 // Pre-allocation of pinned confined memory triggers a page
                 // fault per page whose handling runs at EMC-mediated cost —
                 // the paper's one-time initialization overhead (§9.2,
@@ -1420,10 +1431,16 @@ impl Monitor {
                 Ok(())
             }),
         };
+        if let Some(frame) = in_flight {
+            // Untype the page that failed and give its alias back to the
+            // kernel; `free_frame` below drops its key.
+            mmu_guard::retag_direct_map_gathered(machine, cpu, kroot, frame, UNCONFINED, &mut gather)
+                .ok();
+            self.frames.release(frame).ok();
+        }
         let flushed = gather.finish(machine, cpu);
-        // Hand back every frame the sandbox does not own: a failed batch
-        // keeps the frames it got, and a failed page leaves the rest
-        // untouched.
+        // Hand back every frame the sandbox does not own — a failed batch
+        // keeps the frames it got — only after the flush.
         for &f in &arena[owned..] {
             machine.mem.free_frame(f).ok();
         }
@@ -1676,11 +1693,11 @@ impl Monitor {
             let guard = PrivGuard::enter(machine, cpu).map_err(EmcError::Fault)?;
             // Downgrade every materialized leaf, then one shootdown round
             // for the sandbox's whole window.
-            let mut gather = mmu_guard::TlbGather::default();
+            let mut gather = mmu_guard::TlbGather::user(root);
             let downgraded: Result<(), EmcError> = pages.into_iter().try_for_each(|page| {
                 mmu_guard::checked_update_leaf(machine, cpu, root, page, Pte::read_only)
                     .map_err(map_err)?;
-                gather.user_page(root, page);
+                gather.page(page);
                 self.stats.pte_updates = self.stats.pte_updates.saturating_add(1);
                 Ok(())
             });
@@ -1733,13 +1750,13 @@ impl Monitor {
             };
             // Clear all victim leaves, one shootdown round for the address
             // space, then the per-page mapcount bookkeeping.
-            let mut gather = mmu_guard::TlbGather::default();
+            let mut gather = mmu_guard::TlbGather::user(root);
             let mut cleared: Vec<(u32, VirtAddr)> = Vec::with_capacity(victims.len());
             for (rid, page) in victims {
                 if mmu_guard::checked_update_leaf(machine, cpu, root, page, |_| Pte::empty())
                     .is_ok()
                 {
-                    gather.user_page(root, page);
+                    gather.page(page);
                     cleared.push((rid, page));
                 }
             }
@@ -1796,11 +1813,11 @@ impl Monitor {
         // per-page invalidations). Frames are scrubbed and freed only
         // *after* that round: a stale translation to a freed frame is a
         // cross-tenant leak.
-        let mut gather = mmu_guard::TlbGather::default();
+        let mut gather = mmu_guard::TlbGather::user(root);
         let leaves = confined.iter().map(|&(va, _)| va);
         for va in leaves.chain(commons.iter().map(|&(_, va)| va)) {
             mmu_guard::checked_update_leaf(machine, 0, root, va, |_| Pte::empty()).ok();
-            gather.user_page(root, va);
+            gather.page(va);
         }
         gather.finish(machine, 0).ok();
         for (_, frame) in &confined {
@@ -1855,14 +1872,11 @@ impl Monitor {
         if !self.kill_fence {
             return;
         }
-        let mut gather = mmu_guard::TlbGather::default();
-        let tag = FrameTag {
-            pkey: PK_DEFAULT,
-            keyid: 0,
-        };
+        let mut gather = mmu_guard::TlbGather::kernel();
         let kroot = self.kernel_root;
         for &(_, frame) in confined {
-            mmu_guard::retag_direct_map_gathered(machine, 0, kroot, frame, tag, &mut gather).ok();
+            mmu_guard::retag_direct_map_gathered(machine, 0, kroot, frame, UNCONFINED, &mut gather)
+                .ok();
         }
         gather.finish(machine, 0).ok();
         self.backend.free_domain(domain).ok();

@@ -209,6 +209,14 @@ impl FrameTable {
         self.kinds.iter().filter(|k| pred(**k)).count() as u64
     }
 
+    /// Every confined frame with its owning sandbox, in frame order.
+    pub fn confined(&self) -> impl Iterator<Item = (Frame, u32)> + '_ {
+        self.kinds.iter().zip(0u64..).filter_map(|(k, i)| match *k {
+            FrameKind::Confined { sandbox } => Some((Frame(i), sandbox)),
+            _ => None,
+        })
+    }
+
     /// Serialise the table for migration: every frame's kind and mapping
     /// count. The table is the monitor's mapping-policy ground truth, so
     /// it must cross byte-for-byte.

@@ -234,6 +234,36 @@ fn c3_confined_frame_reachable_from_kernel_root_is_flagged() {
         .expect("map");
         only_check(&p.audit().findings, "confined-unreachable");
     });
+    for_both_backends(|p| {
+        // A supervisor alias normal mode can read: the kernel reading
+        // confined memory through its own mapping. The frame's owner,
+        // sandbox 9, does not exist, which C8 flags as well.
+        let f = p.cvm.machine.mem.alloc_frame().expect("frame");
+        p.cvm
+            .monitor
+            .frames
+            .set_kind(f, FrameKind::Confined { sandbox: 9 })
+            .expect("typed");
+        map_raw(
+            &mut p.cvm.machine.mem,
+            p.cvm.monitor.kernel_root,
+            SCRATCH_VA,
+            Pte::encode(f, PteFlags::kernel_ro(policy::PK_DEFAULT)),
+            intermediate_for(PteFlags::kernel_ro(0)),
+        )
+        .expect("map");
+        let findings = p.audit().findings;
+        assert!(
+            findings.iter().any(|f| f.check == "confined-unreachable"),
+            "supervisor alias must be flagged: {findings:?}"
+        );
+        assert!(
+            findings
+                .iter()
+                .all(|f| f.check == "confined-unreachable" || f.check == "ledger-consistency"),
+            "expected only C3 and the orphan's C8 finding, got {findings:?}"
+        );
+    });
 }
 
 #[test]

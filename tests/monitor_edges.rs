@@ -285,6 +285,15 @@ fn failed_declare_then_kill(fail_at: Option<u64>) -> (u64, u64) {
     );
     p.clear_injector();
     assert!(res.is_err(), "declaration must fail (fail_at {fail_at:?})");
+    // The sandbox lists only pages it actually maps.
+    let sandbox = p.cvm.monitor.sandboxes.get(&id.0).expect("sandbox");
+    for &(va, f) in &sandbox.confined {
+        assert_eq!(
+            p.cvm.monitor.frames.mapcount(f),
+            1,
+            "fail_at {fail_at:?}: {va:?} listed as confined but not mapped"
+        );
+    }
     p.cvm
         .monitor
         .kill_sandbox(&mut p.cvm.machine, id, "failed declaration");
