@@ -115,6 +115,9 @@ pub const PRIVILEGED_SYMBOLS: &[PrivSymbol] = &[
     sym("invalidate_page", true, "tlb-ipi", "targeted TLB invalidation"),
     sym("pending_shootdowns", true, "tlb-ipi", "the dropped-IPI staleness ledger"),
     sym("pending_asid_shootdowns", true, "tlb-ipi", "the coalesced staleness ledger"),
+    sym("park", false, "tlb-ipi", "park a vCPU so shootdowns skip it"),
+    sym("wake", false, "tlb-ipi", "wake a parked vCPU"),
+    sym("flush_owed", true, "tlb-ipi", "the parked cores' owed-flush bits"),
 ];
 
 /// Raw mutators that must never be re-exported from a crate root

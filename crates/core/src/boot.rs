@@ -520,6 +520,8 @@ impl Cvm {
     }
 
     /// Convenience: full boot (stage one + stage two + privilege drop).
+    /// Ends with every core but the boot core parked: secondary vCPUs
+    /// idle until something is scheduled on them.
     ///
     /// # Errors
     /// Any [`BootError`].
@@ -527,6 +529,9 @@ impl Cvm {
         let mut cvm = boot_stage1(cfg)?;
         cvm.load_kernel(kernel_image)?;
         cvm.enter_kernel()?;
+        for cpu in 1..cvm.machine.cpus.len() {
+            cvm.machine.park(cpu);
+        }
         Ok(cvm)
     }
 }

@@ -70,7 +70,13 @@ impl PrivGuard {
         };
         machine.cpus[cpu].domain = erebor_hw::cpu::Domain::Monitor;
         machine.cpus[cpu].mode = erebor_hw::CpuMode::Supervisor;
-        machine.wrmsr(cpu, Msr::Pkrs, crate::policy::monitor_mode_pkrs().0)?;
+        if let Err(f) = machine.wrmsr(cpu, Msr::Pkrs, crate::policy::monitor_mode_pkrs().0) {
+            // A failed raise leaves the caller where it was: never in a
+            // sensitive-capable domain under its own PKRS.
+            machine.cpus[cpu].domain = g.domain;
+            machine.cpus[cpu].mode = g.mode;
+            return Err(f);
+        }
         Ok(g)
     }
 
@@ -1801,12 +1807,14 @@ impl Monitor {
         sandbox.session = None;
         let root = sandbox.root;
         let domain = sandbox.domain;
-        let confined: Vec<(VirtAddr, Frame)> = sandbox.confined.drain(..).collect();
-        let commons: Vec<(u32, VirtAddr)> = sandbox.common_mapped.drain(..).collect();
         self.root_index.remove(&root.0);
+        // Raise before draining: if the raise fails the sandbox is dead
+        // but keeps its lists, so a retried kill still releases them.
         let Ok(guard) = PrivGuard::enter(machine, 0) else {
             return;
         };
+        let confined: Vec<(VirtAddr, Frame)> = sandbox.confined.drain(..).collect();
+        let commons: Vec<(u32, VirtAddr)> = sandbox.common_mapped.drain(..).collect();
         // Two-phase teardown: clear every leaf, then close the whole
         // stale-translation window with one shootdown round (past the
         // full-flush ceiling each core takes one full flush instead of

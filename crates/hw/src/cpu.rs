@@ -192,6 +192,13 @@ pub struct Machine {
     /// ledger rows from a batched teardown.
     pending_asid_shootdowns: BTreeSet<(usize, u64)>,
     interrupt_depth: Vec<u32>,
+    /// Per-core parked bit: the vCPU idles in the monitor's
+    /// `TDG.VP.VMCALL<HLT>` (see [`Machine::park`]).
+    parked: Vec<bool>,
+    /// Per-core flush-owed bit: a shootdown skipped this core while it
+    /// was parked, so its TLB may be stale until the full flush its
+    /// wake performs.
+    flush_owed: Vec<bool>,
 }
 
 impl Machine {
@@ -219,6 +226,8 @@ impl Machine {
             pending_shootdowns: BTreeSet::new(),
             pending_asid_shootdowns: BTreeSet::new(),
             interrupt_depth: vec![0; cores],
+            parked: vec![false; cores],
+            flush_owed: vec![false; cores],
         }
     }
 
@@ -320,13 +329,51 @@ impl Machine {
     }
 
     /// Whether staleness of `cpu`'s cached translation for `page` under
-    /// `root` is recorded (tolerated) in either ledger: a per-page row,
-    /// a full-ASID row for the entry's root, or a dropped broadcast row.
+    /// `root` is recorded (tolerated): a per-page row, a full-ASID row
+    /// for the entry's root, a dropped broadcast row, or a full flush
+    /// the parked core owes at wake.
     #[must_use]
     pub fn shootdown_pending(&self, cpu: usize, root: Frame, page: u64) -> bool {
-        self.pending_shootdowns.contains(&(cpu, page))
+        self.flush_owed[cpu]
+            || self.pending_shootdowns.contains(&(cpu, page))
             || self.pending_asid_shootdowns.contains(&(cpu, root.0))
             || self.pending_asid_shootdowns.contains(&(cpu, 0))
+    }
+
+    // ----- idle vCPUs ---------------------------------------------------
+
+    /// Park `cpu`: the vCPU idles in `TDG.VP.VMCALL<HLT>`. That tdcall is
+    /// sensitive (Table 2), so only the monitor issues it and the vCPU
+    /// resumes in monitor code: parking is trusted state. Shootdowns
+    /// skip a parked core — no IPI — and mark it flush-owed instead, as
+    /// Linux's lazy-TLB mode skips idle CPUs.
+    pub fn park(&mut self, cpu: usize) {
+        self.parked[cpu] = true;
+    }
+
+    /// Wake `cpu` (a no-op on an awake core). A core that owes a flush
+    /// full-flushes before it runs anything, charged like a CR3 reload,
+    /// so no path ever reads a TLB a skipped shootdown left stale.
+    pub fn wake(&mut self, cpu: usize) {
+        if !core::mem::take(&mut self.parked[cpu]) {
+            return;
+        }
+        if self.flush_owed[cpu] {
+            self.cycles.charge(self.costs.mov_cr);
+            self.flush_tlb(cpu);
+        }
+    }
+
+    /// Whether `cpu` is parked.
+    #[must_use]
+    pub fn parked(&self, cpu: usize) -> bool {
+        self.parked[cpu]
+    }
+
+    /// Whether `cpu` owes a full flush at its next wake.
+    #[must_use]
+    pub fn flush_owed(&self, cpu: usize) -> bool {
+        self.flush_owed[cpu]
     }
 
     /// Nesting depth of interrupts currently live on `cpu` (incremented
@@ -442,6 +489,9 @@ impl Machine {
         va: VirtAddr,
         kind: AccessKind,
     ) -> Result<crate::PhysAddr, Fault> {
+        // A parked core runs nothing: anything that accesses memory on
+        // it has woken it, owed flush first.
+        self.wake(cpu);
         let env = self.env(cpu);
         if self.tlb_enabled {
             if let Some(entry) = self.tlbs[cpu].lookup(env.root, va, kind) {
@@ -590,6 +640,7 @@ impl Machine {
         self.stats.tlb_flushes = self.stats.tlb_flushes.saturating_add(1);
         self.pending_shootdowns.retain(|&(c, _)| c != cpu);
         self.pending_asid_shootdowns.retain(|&(c, _)| c != cpu);
+        self.flush_owed[cpu] = false;
         if self.mmu_trace {
             self.trace_event(cpu, TraceEvent::TlbFlush);
         }
@@ -682,6 +733,8 @@ impl Machine {
         if vas.is_empty() {
             return Ok(());
         }
+        // The initiator executes this round, so it is awake.
+        self.wake(initiator);
         let full = vas.len() > Self::SHOOTDOWN_FULL_FLUSH_CEILING;
         if self.mmu_trace {
             // Revocation edge for the happens-before race detector: the
@@ -702,6 +755,12 @@ impl Machine {
             if cpu != initiator {
                 if root.is_some_and(|r| self.cpus[cpu].cr3 != r) {
                     continue; // not in the mm's cpumask
+                }
+                if self.parked[cpu] {
+                    // No IPI to an idle core: it owes one full flush at
+                    // wake instead, which covers every page of this round.
+                    self.flush_owed[cpu] = true;
+                    continue;
                 }
                 // The remote handler's invalidation work is folded into
                 // the IPI delivery cost.
@@ -743,13 +802,7 @@ impl Machine {
                     // Charged like a CR3 reload on the initiating core.
                     self.cycles.charge(self.costs.mov_cr);
                 }
-                self.tlbs[cpu].flush_all();
-                self.stats.tlb_flushes = self.stats.tlb_flushes.saturating_add(1);
-                self.pending_shootdowns.retain(|&(c, _)| c != cpu);
-                self.pending_asid_shootdowns.retain(|&(c, _)| c != cpu);
-                if self.mmu_trace {
-                    self.trace_event(cpu, TraceEvent::TlbFlush);
-                }
+                self.flush_tlb(cpu);
             } else {
                 for va in vas {
                     if cpu == initiator {
@@ -777,13 +830,7 @@ impl Machine {
                     self.cycles.charge(self.costs.interrupt_delivery);
                     self.stats.tlb_shootdown_ipis = self.stats.tlb_shootdown_ipis.saturating_add(1);
                     self.trace_event(cpu, TraceEvent::IpiSpurious);
-                    self.tlbs[cpu].flush_all();
-                    self.stats.tlb_flushes = self.stats.tlb_flushes.saturating_add(1);
-                    self.pending_shootdowns.retain(|&(c, _)| c != cpu);
-                    self.pending_asid_shootdowns.retain(|&(c, _)| c != cpu);
-                    if self.mmu_trace {
-                        self.trace_event(cpu, TraceEvent::TlbFlush);
-                    }
+                    self.flush_tlb(cpu);
                 }
             }
         }
@@ -1141,12 +1188,16 @@ pub(crate) fn machine_set_private(
     pending_shootdowns: BTreeSet<(usize, u64)>,
     pending_asid_shootdowns: BTreeSet<(usize, u64)>,
     interrupt_depth: Vec<u32>,
+    parked: Vec<bool>,
+    flush_owed: Vec<bool>,
 ) {
     m.sensitive_domains = sensitive_domains;
     m.injector = None;
     m.pending_shootdowns = pending_shootdowns;
     m.pending_asid_shootdowns = pending_asid_shootdowns;
     m.interrupt_depth = interrupt_depth;
+    m.parked = parked;
+    m.flush_owed = flush_owed;
 }
 
 /// Test hook: plant staleness-ledger rows the way a chaos-dropped IPI
@@ -1471,6 +1522,140 @@ mod tests {
         m.tlb_shootdown_mm(0, root, &[va]).unwrap();
         assert_eq!(m.stats.tlb_shootdown_ipis, 1);
         assert!(m.tlbs[1].lookup(root, va, AccessKind::Read).is_none());
+    }
+
+    // ----- parked cores ---------------------------------------------------
+
+    /// Core 1 caches `va`, is parked, and core 0 shoots `va` down.
+    fn parked_core_behind_a_shootdown(m: &mut Machine, va: VirtAddr) {
+        m.probe(1, va, AccessKind::Read).unwrap();
+        m.park(1);
+        m.tlb_shootdown(0, va).unwrap();
+    }
+
+    #[test]
+    fn shootdown_skips_a_parked_core_and_owes_it_a_flush() {
+        let mut m = machine();
+        map(&mut m, 0xffff_8000_0000_0000u64, PteFlags::kernel_rw(0));
+        let va = VirtAddr(0xffff_8000_0000_0000);
+        m.mmu_trace = true;
+        m.probe(1, va, AccessKind::Read).unwrap();
+        m.park(1);
+        let before = m.cycles.total();
+        m.tlb_shootdown(0, va).unwrap();
+        assert_eq!(m.stats.tlb_shootdown_ipis, 0, "no IPI to a parked core");
+        assert_eq!(m.cycles.total() - before, m.costs.invlpg, "local invlpg only");
+        assert!(m.parked(1) && m.flush_owed(1));
+        assert_eq!(m.tlbs[1].occupancy(), 1, "the parked core's entry survives");
+        let root = m.cpus[1].cr3;
+        assert!(
+            m.shootdown_pending(1, root, va.0 >> 12),
+            "an owed flush tolerates the parked core's stale entries"
+        );
+        assert!(!m
+            .trace
+            .last_n(m.trace.len())
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::IpiSent { .. })));
+    }
+
+    #[test]
+    fn access_on_a_parked_core_pays_the_owed_flush_first() {
+        let mut m = machine();
+        map(&mut m, 0xffff_8000_0000_0000u64, PteFlags::kernel_rw(0));
+        let va = VirtAddr(0xffff_8000_0000_0000);
+        m.mmu_trace = true;
+        parked_core_behind_a_shootdown(&mut m, va);
+        let flushes = m.stats.tlb_flushes;
+        let misses = m.stats.tlb_misses;
+        let before = m.cycles.total();
+        m.probe(1, va, AccessKind::Read).unwrap();
+        assert!(!m.parked(1) && !m.flush_owed(1));
+        assert_eq!(m.stats.tlb_flushes, flushes + 1, "the owed flush counts");
+        assert_eq!(m.stats.tlb_misses, misses + 1, "served by a walk, not the stale entry");
+        assert_eq!(
+            m.cycles.total() - before,
+            m.costs.mov_cr + 4 * m.costs.walk_level,
+            "owed flush charged like a CR3 reload"
+        );
+        let events: Vec<TraceEvent> = m
+            .trace
+            .last_n(m.trace.len())
+            .iter()
+            .filter(|r| r.cpu == 1)
+            .map(|r| r.event)
+            .collect();
+        assert_eq!(events.last(), Some(&TraceEvent::TlbFlush), "{events:?}");
+        assert!(!m.shootdown_pending(1, m.cpus[1].cr3, va.0 >> 12));
+    }
+
+    #[test]
+    fn wake_without_an_owed_flush_is_free() {
+        let mut m = machine();
+        map(&mut m, 0xffff_8000_0000_0000u64, PteFlags::kernel_rw(0));
+        let va = VirtAddr(0xffff_8000_0000_0000);
+        m.probe(1, va, AccessKind::Read).unwrap();
+        m.park(1);
+        let before = m.cycles.total();
+        m.wake(1);
+        assert_eq!(m.cycles.total(), before);
+        assert_eq!(m.stats.tlb_flushes, 0);
+        assert_eq!(m.tlbs[1].occupancy(), 1, "nothing was owed, nothing flushed");
+    }
+
+    #[test]
+    fn the_initiator_of_a_shootdown_is_awake() {
+        let mut m = machine();
+        map(&mut m, 0xffff_8000_0000_0000u64, PteFlags::kernel_rw(0));
+        let va = VirtAddr(0xffff_8000_0000_0000);
+        parked_core_behind_a_shootdown(&mut m, va);
+        m.park(0);
+        m.tlb_shootdown(1, va).unwrap();
+        assert!(!m.parked(1) && !m.flush_owed(1), "the initiator woke, owed flush paid");
+        assert_eq!(m.tlbs[1].occupancy(), 0);
+        assert!(m.parked(0) && m.flush_owed(0), "core 0 parked in turn");
+        assert_eq!(m.stats.tlb_shootdown_ipis, 0);
+    }
+
+    /// Panics if asked about a parked core; counts what it is asked.
+    struct AskOnlyAwake {
+        parked: usize,
+        asked: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl crate::inject::Injector for AskOnlyAwake {
+        fn drop_shootdown_ipi(&mut self, _initiator: usize, target: usize) -> bool {
+            assert_ne!(target, self.parked, "asked to drop an IPI to a parked core");
+            self.asked.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            false
+        }
+    }
+
+    #[test]
+    fn the_injector_is_never_asked_about_a_parked_core() {
+        let mut m = Machine::new(3, 64 * 1024 * 1024);
+        let root = m.mem.alloc_frame().unwrap();
+        for c in &mut m.cpus {
+            c.cr3 = root;
+            c.cr0 = Cr0(Cr0::WP | Cr0::PG);
+            c.domain = Domain::Kernel;
+        }
+        let asked = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        m.set_injector(crate::inject::handle(AskOnlyAwake {
+            parked: 2,
+            asked: asked.clone(),
+        }));
+        m.park(2);
+        let vas: Vec<VirtAddr> = (0..40)
+            .map(|i| VirtAddr(0xffff_8000_0000_0000 + i * 4096))
+            .collect();
+        m.tlb_shootdown_batch(0, &vas[..1]).unwrap();
+        m.tlb_shootdown_batch(0, &vas).unwrap();
+        m.tlb_shootdown_mm(0, root, &vas).unwrap();
+        let asked = asked.load(std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(asked, 3, "core 1, once per round");
+        assert_eq!(m.stats.tlb_shootdown_ipis, 3);
+        assert!(m.flush_owed(2));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`Machine::export_state`] serializes every *architectural* field of
 //! the machine — register state, MSRs, TLB contents, trace rings, cycle
-//! accounting, the CET registries, the staleness ledgers — into one
-//! deterministic byte blob. Page contents are deliberately excluded:
+//! accounting, the CET registries, the staleness ledgers, the per-core
+//! parked and flush-owed bits — into one deterministic byte blob. Page
+//! contents are deliberately excluded:
 //! they travel as individual per-frame migration records so the
 //! pre-copy loop can resend only dirty frames ([`crate::phys::PhysMemory`]'s
 //! dirty ledger).
@@ -33,8 +34,9 @@ use crate::idt::Idtr;
 
 /// Format version stamped at the head of every export; import refuses
 /// anything else (a silent cross-version decode would be state confusion
-/// by construction).
-pub const MACHINE_STATE_VERSION: u32 = 2;
+/// by construction). Version 2 predates the per-core parked and
+/// flush-owed bits.
+pub const MACHINE_STATE_VERSION: u32 = 3;
 
 fn put_event(w: &mut WireWriter, e: &TraceEvent) {
     match e {
@@ -325,6 +327,10 @@ impl Machine {
         for cpu in 0..cores {
             w.u32(self.interrupt_depth(cpu));
         }
+        for cpu in 0..cores {
+            w.bool(self.parked(cpu));
+            w.bool(self.flush_owed(cpu));
+        }
 
         w.finish()
     }
@@ -524,6 +530,22 @@ impl Machine {
         for _ in 0..cores {
             depth.push(r.u32()?);
         }
+        let mut parked = Vec::with_capacity(cores);
+        let mut flush_owed = Vec::with_capacity(cores);
+        for _ in 0..cores {
+            let p = r.bool()?;
+            let owed = r.bool()?;
+            if owed && !p {
+                // Only a parked core can owe a flush; an awake one
+                // claiming to would have its stale entries tolerated
+                // forever.
+                return Err(WireError::BadValue {
+                    what: "flush owed by an awake core",
+                });
+            }
+            parked.push(p);
+            flush_owed.push(owed);
+        }
         r.finish()?;
 
         let mut m = Machine::new(cores, 0x1000); // placeholder DRAM, replaced below
@@ -537,7 +559,15 @@ impl Machine {
         m.trace = trace;
         m.tlb_enabled = tlb_enabled;
         m.mmu_trace = mmu_trace;
-        crate::cpu::machine_set_private(&mut m, sensitive, pending, pending_asid, depth);
+        crate::cpu::machine_set_private(
+            &mut m,
+            sensitive,
+            pending,
+            pending_asid,
+            depth,
+            parked,
+            flush_owed,
+        );
         Ok(m)
     }
 }
@@ -576,6 +606,10 @@ mod tests {
         m.trace_event(0, TraceEvent::Emc { op: "create", arg: 3 });
         m.trace_event(1, TraceEvent::ChaosFault { point: "wrmsr" });
         m
+    }
+
+    fn resident(m: &Machine) -> Vec<(u64, Vec<u8>)> {
+        m.mem.resident_pages().map(|(f, p)| (f, p.to_vec())).collect()
     }
 
     /// The full machine blob round-trips: identical trace JSON, cycles,
@@ -647,6 +681,68 @@ mod tests {
         let mut wrong_ver = blob.clone();
         wrong_ver[0] ^= 0xff;
         assert!(Machine::import_state(&wrong_ver, &[]).is_err());
+    }
+
+    /// A blob at the previous layout (version 2, no parked or flush-owed
+    /// bits) is refused typed, never half-parsed.
+    #[test]
+    fn machine_state_at_the_old_version_is_refused() {
+        let mut blob = busy_machine().export_state();
+        blob[..4].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            Machine::import_state(&blob, &[]).err(),
+            Some(WireError::BadValue {
+                what: "machine state version"
+            })
+        );
+    }
+
+    /// A parked core that owes a flush migrates as such: the destination
+    /// pays the same owed flush at wake as the source would have.
+    #[test]
+    fn parked_and_flush_owed_bits_roundtrip() {
+        let mut src = busy_machine();
+        src.park(1);
+        src.tlb_shootdown(0, VirtAddr(0xffff_8000_0000_0000)).unwrap();
+        assert_eq!(src.stats.tlb_shootdown_ipis, 0, "no IPI to a parked core");
+        assert!(src.parked(1) && src.flush_owed(1));
+        assert!(!src.parked(0) && !src.flush_owed(0));
+        let blob = src.export_state();
+        let mut dst = Machine::import_state(&blob, &resident(&src)).unwrap();
+        assert!(dst.parked(1) && dst.flush_owed(1));
+        assert!(!dst.parked(0) && !dst.flush_owed(0));
+        assert_eq!(dst.export_state(), blob);
+        let mut buf = [0u8; 7];
+        for m in [&mut src, &mut dst] {
+            m.read(1, VirtAddr(0xffff_8000_0000_0010), &mut buf).unwrap();
+            assert!(!m.parked(1) && !m.flush_owed(1));
+        }
+        assert_eq!(dst.export_state(), src.export_state());
+    }
+
+    /// Only a parked core can owe a flush: a hostile blob claiming an
+    /// awake core does (which would tolerate its stale entries forever)
+    /// is refused.
+    #[test]
+    fn flush_owed_by_an_awake_core_is_refused() {
+        let src = busy_machine();
+        let pages = resident(&src);
+        let mut blob = src.export_state();
+        // The blob ends with one (parked, flush-owed) pair per core.
+        let n = blob.len();
+        assert_eq!(&blob[n - 4..], &[0, 0, 0, 0]);
+        blob[n - 3] = 1;
+        assert_eq!(
+            Machine::import_state(&blob, &pages).err(),
+            Some(WireError::BadValue {
+                what: "flush owed by an awake core"
+            })
+        );
+        blob[n - 3] = 2;
+        assert_eq!(
+            Machine::import_state(&blob, &pages).err(),
+            Some(WireError::BadValue { what: "bool" })
+        );
     }
 
     /// Quiesce drains both staleness ledgers; on a machine with empty

@@ -219,7 +219,8 @@ impl Platform {
         Platform::boot_with(cfg)
     }
 
-    /// Boot with explicit parameters.
+    /// Boot with explicit parameters. Core 0 drives; every other core is
+    /// left parked until [`Platform::set_active_cpu`] selects it.
     ///
     /// # Errors
     /// [`PlatformError::Boot`] / [`PlatformError::Errno`].
@@ -620,12 +621,14 @@ impl Platform {
         self.kernel.task(pid).and_then(erebor_kernel::Task::sandbox)
     }
 
-    /// Select the vCPU that subsequent [`Platform::proc`] handles drive.
+    /// Select the vCPU that subsequent [`Platform::proc`] handles drive,
+    /// waking it (and paying any flush it owes) if it was parked.
     ///
     /// # Panics
     /// Panics on an out-of-range core id.
     pub fn set_active_cpu(&mut self, cpu: usize) {
         assert!(cpu < self.cvm.machine.cpus.len(), "no such core");
+        self.cvm.machine.wake(cpu);
         self.cpu = cpu;
     }
 

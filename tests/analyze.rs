@@ -465,6 +465,7 @@ fn platform_with_user_page_on(backend: BackendKind) -> (Platform, Frame) {
 }
 
 fn run_user(p: &mut Platform, cpu: usize, root: Frame) {
+    p.cvm.machine.wake(cpu);
     p.cvm.machine.cpus[cpu].cr3 = root;
     p.cvm.machine.flush_tlb(cpu);
     p.cvm.machine.cpus[cpu].mode = CpuMode::User;

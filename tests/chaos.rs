@@ -633,6 +633,11 @@ fn run_fleet_chaos_campaign(backend: erebor::ehw::isolation::BackendKind, slots:
     let mut p = Platform::boot_with(cfg).unwrap();
     p.set_fleet_mode(true);
     assert!(p.cvm.monitor.fast_lookup && p.cvm.machine.mem.fast_scan);
+    // Shootdowns skip parked cores, so there would be no IPI to drop:
+    // wake the secondary cores for the seeded phase.
+    for cpu in 1..p.cvm.machine.cpus.len() {
+        p.cvm.machine.wake(cpu);
+    }
     p.install_injector(inject_handle(FleetIpiChaos::new(0xf1ee_7caf)));
 
     // 40 confined pages per server: past the full-flush ceiling (32),

@@ -322,3 +322,94 @@ fn failed_declare_confined_leaks_no_frame() {
         );
     }
 }
+
+/// Faults every PKRS write on core 0: the monitor's privilege raise.
+struct FailPkrsWrite;
+
+impl erebor_hw::inject::Injector for FailPkrsWrite {
+    fn inject_fault(
+        &mut self,
+        point: erebor_hw::inject::InjectionPoint,
+    ) -> Option<erebor_hw::fault::Fault> {
+        let raise = erebor_hw::inject::InjectionPoint::Wrmsr {
+            cpu: 0,
+            msr: erebor_hw::regs::Msr::Pkrs,
+        };
+        (point == raise).then_some(erebor_hw::fault::Fault::GeneralProtection(
+            "injected PKRS write fault",
+        ))
+    }
+}
+
+fn core0(p: &Platform) -> (erebor_hw::cpu::Domain, erebor_hw::CpuMode, u64) {
+    let c = &p.cvm.machine.cpus[0];
+    (c.domain, c.mode, c.msr(erebor_hw::regs::Msr::Pkrs))
+}
+
+#[test]
+fn failed_privilege_raise_leaves_the_core_where_it_was() {
+    let mut p = full();
+    p.enter_kernel_mode();
+    let id = p
+        .cvm
+        .monitor
+        .create_sandbox(&mut p.cvm.machine, 0, DECLARED_PAGES)
+        .expect("create sandbox");
+    let before = core0(&p);
+    assert_eq!(before.0, erebor_hw::cpu::Domain::Kernel);
+    p.install_injector(erebor_hw::inject::handle(FailPkrsWrite));
+    p.cvm
+        .monitor
+        .create_sandbox(&mut p.cvm.machine, 0, DECLARED_PAGES)
+        .expect_err("the raise fails");
+    assert_eq!(core0(&p), before, "after a failed create_sandbox");
+    p.cvm
+        .monitor
+        .kill_sandbox(&mut p.cvm.machine, id, "failed raise");
+    assert_eq!(core0(&p), before, "after a failed kill_sandbox");
+    p.clear_injector();
+}
+
+#[test]
+fn kill_after_a_failed_raise_releases_every_confined_frame() {
+    let mut p = full();
+    p.enter_kernel_mode();
+    let id = p
+        .cvm
+        .monitor
+        .create_sandbox(&mut p.cvm.machine, 0, DECLARED_PAGES)
+        .expect("create sandbox");
+    emc(
+        &mut p,
+        EmcRequest::DeclareConfined {
+            sandbox: id.0,
+            va: VirtAddr(0x40_0000),
+            pages: DECLARED_PAGES,
+            executable: false,
+        },
+    )
+    .expect("declare");
+    let confined = |p: &Platform| {
+        p.cvm
+            .monitor
+            .frames
+            .count_kind(|k| k == erebor_core::policy::FrameKind::Confined { sandbox: id.0 })
+    };
+    p.install_injector(erebor_hw::inject::handle(FailPkrsWrite));
+    p.cvm
+        .monitor
+        .kill_sandbox(&mut p.cvm.machine, id, "failed raise");
+    p.clear_injector();
+    let sandbox = p.cvm.monitor.sandboxes.get(&id.0).expect("sandbox");
+    assert_eq!(sandbox.state, erebor_core::sandbox::SandboxState::Dead);
+    assert_eq!(
+        sandbox.confined.len() as u64,
+        DECLARED_PAGES,
+        "the failed kill keeps the lists"
+    );
+    assert_eq!(confined(&p), DECLARED_PAGES);
+    p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, id, "retry");
+    assert_eq!(confined(&p), 0, "the retried kill released them");
+    let report = p.audit();
+    assert!(report.is_clean(), "{}", report.json());
+}

@@ -7,7 +7,8 @@
 //! tests show the monitor's EMC paths close the window, including across
 //! cores.
 
-use erebor::{Mode, Platform};
+use erebor::eanalyze::detect_races;
+use erebor::{Mode, Platform, TraceEvent};
 use erebor_core::emc::{EmcRequest, EmcResponse};
 use erebor_hw::cpu::Domain;
 use erebor_hw::fault::{AccessKind, PfReason};
@@ -48,8 +49,9 @@ fn platform_with_user_page() -> (Platform, Frame) {
     (p, root)
 }
 
-/// Put `cpu` in user mode running `root`, with a clean TLB.
+/// Wake `cpu` and put it in user mode running `root`, with a clean TLB.
 fn run_user(p: &mut Platform, cpu: usize, root: Frame) {
+    p.cvm.machine.wake(cpu);
     p.cvm.machine.cpus[cpu].cr3 = root;
     p.cvm.machine.flush_tlb(cpu);
     p.cvm.machine.cpus[cpu].mode = CpuMode::User;
@@ -254,8 +256,10 @@ fn declare(
     )
 }
 
-/// Put `cpu` in the kernel (supervisor, normal-mode PKRS) with a clean TLB.
+/// Wake `cpu` and put it in the kernel (supervisor, normal-mode PKRS)
+/// with a clean TLB.
 fn run_kernel(p: &mut Platform, cpu: usize) {
+    p.cvm.machine.wake(cpu);
     p.cvm.machine.flush_tlb(cpu);
     p.cvm.machine.cpus[cpu].mode = CpuMode::Supervisor;
     p.cvm.machine.cpus[cpu].domain = Domain::Kernel;
@@ -373,4 +377,169 @@ fn dropped_confine_round_is_a_tolerated_ledger_row() {
     );
     let report = p.audit();
     assert!(report.is_clean(), "{}", report.json());
+}
+
+// --------------------------------------------------------------------
+// Parked cores: no IPI to an idle vCPU, one owed flush at its wake
+// --------------------------------------------------------------------
+
+fn ipis(p: &Platform) -> u64 {
+    p.cvm.machine.stats.tlb_shootdown_ipis
+}
+
+/// Targets of the shootdown IPIs sent since trace sequence `seq`.
+fn ipi_targets_since(p: &Platform, seq: u64) -> Vec<u32> {
+    p.cvm
+        .machine
+        .trace
+        .last_n(p.cvm.machine.trace.len())
+        .iter()
+        .filter(|r| r.seq >= seq)
+        .filter_map(|r| match r.event {
+            TraceEvent::IpiSent { to } => Some(to),
+            _ => None,
+        })
+        .collect()
+}
+
+fn next_seq(p: &Platform) -> u64 {
+    p.cvm
+        .machine
+        .trace
+        .last_n(1)
+        .first()
+        .map_or(0, |r| r.seq + 1)
+}
+
+/// One timer tick's housekeeping on core 0; returns `(EMCs, IPIs)`.
+fn tick(p: &mut Platform) -> (u64, u64) {
+    let (emcs, sent) = (p.cvm.monitor.stats.emc_calls, ipis(p));
+    p.enter_kernel_mode();
+    let mut hw = erebor_kernel::Hw {
+        machine: &mut p.cvm.machine,
+        tdx: &mut p.cvm.tdx,
+        monitor: &mut p.cvm.monitor,
+        cpu: 0,
+    };
+    p.kernel.on_timer(&mut hw);
+    (p.cvm.monitor.stats.emc_calls - emcs, ipis(p) - sent)
+}
+
+#[test]
+fn boot_parks_every_core_but_the_driving_one() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let cores = p.cvm.machine.cpus.len();
+    assert_eq!(cores, 8);
+    assert!(!p.cvm.machine.parked(0));
+    assert!((1..cores).all(|cpu| p.cvm.machine.parked(cpu)));
+    p.set_active_cpu(3);
+    assert!(!p.cvm.machine.parked(3), "selecting a core wakes it");
+    assert!(p.cvm.machine.parked(2));
+}
+
+#[test]
+fn parked_cores_take_no_shootdown_ipis() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let cores = p.cvm.machine.cpus.len();
+    let id = sandbox_with_tables(&mut p);
+    let before = ipis(&p);
+    declare(&mut p, id, VirtAddr(CONFINED_VA.0 + 0x1000), CONFINED_PAGES).expect("declare");
+    assert_eq!(ipis(&p), before, "DeclareConfined");
+    p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, id, "parked");
+    assert_eq!(ipis(&p), before, "kill");
+
+    // The tick's housekeeping unmaps on kernel_root, which every parked
+    // core has held since boot: no IPI, and still one EMC per map/unmap.
+    p.spawn_native().expect("spawn");
+    let (emcs, sent) = tick(&mut p);
+    assert_eq!(sent, 0, "tick-style UnmapUserPage on kernel_root");
+    assert_eq!(emcs, 70, "34 map/unmap pairs plus 2 MSR writes");
+    assert!((1..cores).all(|cpu| p.cvm.machine.flush_owed(cpu)));
+    let report = p.audit();
+    assert!(report.is_clean(), "{}", report.json());
+
+    // With every core awake the same tick makes the same EMCs and pays
+    // the IPIs.
+    for cpu in 1..cores {
+        p.set_active_cpu(cpu);
+    }
+    p.set_active_cpu(0);
+    let (emcs_awake, sent_awake) = tick(&mut p);
+    assert_eq!(emcs_awake, emcs);
+    assert!(sent_awake >= 34 * (cores as u64 - 1), "{sent_awake} IPIs");
+}
+
+#[test]
+fn kill_of_a_sandbox_running_on_a_woken_core_pays_one_ipi_per_round() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let id = sandbox_with_tables(&mut p);
+    declare(&mut p, id, VirtAddr(CONFINED_VA.0 + 0x1000), CONFINED_PAGES).expect("declare");
+    let root = p.cvm.monitor.sandboxes.get(&id.0).expect("sandbox").root;
+    p.set_active_cpu(1);
+    run_user(&mut p, 1, root);
+    p.cvm
+        .machine
+        .probe(1, CONFINED_VA, AccessKind::Read)
+        .expect("the sandbox reads its confined page");
+    p.set_active_cpu(0);
+    let (before, seq) = (ipis(&p), next_seq(&p));
+    p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, id, "woken core");
+    // One user-page round (core 1 runs the dead root) and one broadcast
+    // alias round: core 1 is the only awake remote core in each.
+    assert_eq!(ipis(&p) - before, 2);
+    assert_eq!(ipi_targets_since(&p, seq), vec![1, 1]);
+    let err = p
+        .cvm
+        .machine
+        .probe(1, CONFINED_VA, AccessKind::Read)
+        .expect_err("core 1 must not read the dead sandbox's page");
+    assert!(err.is_pf(PfReason::NotPresent), "{err:?}");
+}
+
+#[test]
+fn stale_alias_on_a_parked_core_is_flushed_at_wake() {
+    let mut p = Platform::boot(Mode::Full).expect("boot");
+    let frames = recycled_frames(&mut p);
+    p.cvm.machine.mmu_trace = true;
+    cache_aliases(&mut p, &frames);
+    p.cvm.machine.park(1);
+    let id = sandbox_with_tables(&mut p);
+    let before = ipis(&p);
+    declare(&mut p, id, VirtAddr(CONFINED_VA.0 + 0x1000), CONFINED_PAGES).expect("declare");
+    assert_eq!(ipis(&p), before, "no IPI to the parked core");
+    let confined = confined_frames(&p, id);
+    assert!(confined.iter().all(|f| frames.contains(f)));
+
+    // Parked: the stale aliases are still cached, and tolerated because
+    // core 1 owes a flush.
+    assert!(p.cvm.machine.parked(1) && p.cvm.machine.flush_owed(1));
+    assert!(p.cvm.machine.tlbs[1].occupancy() > 0);
+    let report = p.audit();
+    assert!(report.is_clean(), "{}", report.json());
+
+    // The first access after waking pays the flush, then faults.
+    let flushes = p.cvm.machine.stats.tlb_flushes;
+    for f in confined {
+        let err = p
+            .cvm
+            .machine
+            .probe(1, direct_map(f.base()), AccessKind::Read)
+            .expect_err("the parked core's cached alias must not outlive the confine");
+        assert!(err.is_pf(PfReason::PksAccessDisabled), "{err:?}");
+    }
+    assert!(!p.cvm.machine.parked(1) && !p.cvm.machine.flush_owed(1));
+    assert_eq!(p.cvm.machine.stats.tlb_flushes, flushes + 1, "one owed flush");
+    let records = p.cvm.machine.trace.last_n(p.cvm.machine.trace.len());
+    let findings = detect_races(&records, p.cvm.machine.cpus.len());
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn run_helpers_wake_the_core_they_drive() {
+    let (mut p, root) = platform_with_user_page();
+    assert!(p.cvm.machine.parked(1) && p.cvm.machine.parked(2));
+    run_user(&mut p, 1, root);
+    run_kernel(&mut p, 2);
+    assert!(!p.cvm.machine.parked(1) && !p.cvm.machine.parked(2));
+    assert!(p.cvm.machine.parked(3));
 }
