@@ -355,9 +355,11 @@ impl Machine {
     /// full-flushes before it runs anything, charged like a CR3 reload,
     /// so no path ever reads a TLB a skipped shootdown left stale.
     pub fn wake(&mut self, cpu: usize) {
-        if !core::mem::take(&mut self.parked[cpu]) {
+        // The awake case is a pure read: every translation calls this.
+        if !self.parked[cpu] {
             return;
         }
+        self.parked[cpu] = false;
         if self.flush_owed[cpu] {
             self.cycles.charge(self.costs.mov_cr);
             self.flush_tlb(cpu);
@@ -417,12 +419,16 @@ impl Machine {
     /// Drain both staleness ledgers before the source of a migration is
     /// quiesced, returning `(per-page rows, full-asid rows)` drained.
     ///
-    /// A migrated snapshot must not carry *tolerated* staleness: the
-    /// ledgers exist to tell a modelled IPI loss from a real bug, and an
-    /// importer has no way to re-establish that tolerance. Draining
-    /// delivers the lost invalidations host-side — per-page rows drop
-    /// the one cached translation, full-ASID rows flush the whole core —
-    /// exactly what the in-flight IPI would have done had it arrived.
+    /// The ledgers are drained: they exist to tell a modelled IPI loss
+    /// from a real bug, and an importer has no way to re-establish that
+    /// tolerance. Draining delivers the lost invalidations host-side —
+    /// per-page rows drop the one cached translation, full-ASID rows
+    /// flush the whole core — exactly what the in-flight IPI would have
+    /// done had it arrived. The per-core parked and flush-owed bits are
+    /// not drained; they travel in the machine section. The tolerance an
+    /// owed flush carries ([`Machine::shootdown_pending`]) never covers a
+    /// use of a stale entry: the flush is paid at wake, before that core
+    /// reads its TLB, on the importer as on the source.
     /// On a machine with empty ledgers (every non-chaos run) this is a
     /// complete no-op: no cycles, no counters, no trace, so migration
     /// stays invisible to same-seed equivalence.
