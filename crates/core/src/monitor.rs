@@ -40,8 +40,9 @@ pub const IOCTL_OUTPUT: u64 = 0x4501;
 pub const SYS_IOCTL: u64 = 16;
 
 /// Layout version of [`Monitor::export_state`]. Version 1 was the
-/// unversioned layout that still carried a shootdown-coalescing flag.
-pub const MONITOR_STATE_VERSION: u32 = 2;
+/// unversioned layout that still carried a shootdown-coalescing flag;
+/// version 2 still carried a lookup-mode flag and the cpuid MRU slot.
+pub const MONITOR_STATE_VERSION: u32 = 3;
 
 /// The direct-map tag of a frame no sandbox confines: default pkey, no
 /// key-ID.
@@ -121,12 +122,7 @@ pub struct Monitor {
     pub sandboxes: SandboxTable,
     /// All common regions.
     pub common_regions: BTreeMap<u32, CommonRegion>,
-    /// Use the O(1) indexes (root→sandbox, address-space mirror, cpuid
-    /// MRU) on the gate hot path. Off = the seed's linear scans and
-    /// ordered-map lookups, with identical results; the fleet bench
-    /// ablation and the equivalence suite flip this.
-    pub fast_lookup: bool,
-    /// Lookup fast-path counters — deliberately outside
+    /// Lookup-index counters — deliberately outside
     /// [`MonitorStats`]/snapshots (see [`LookupStats`]).
     pub lookup_stats: LookupStats,
     kernel_text: Option<(VirtAddr, Vec<Frame>)>,
@@ -177,7 +173,6 @@ impl Monitor {
             idt_base,
             sandboxes: SandboxTable::new(),
             common_regions: BTreeMap::new(),
-            fast_lookup: true,
             lookup_stats: LookupStats::default(),
             kernel_text: None,
             kernel_syscall_entry: None,
@@ -213,11 +208,8 @@ impl Monitor {
         if root == self.kernel_root {
             return true;
         }
-        if self.fast_lookup {
-            self.lookup_stats.bump_as_index();
-            return self.as_index.contains_key(&root.0);
-        }
-        self.address_spaces.contains_key(&root.0)
+        self.lookup_stats.bump_as_index();
+        self.as_index.contains_key(&root.0)
     }
 
     /// Every address-space root the monitor knows about: the kernel root
@@ -241,8 +233,10 @@ impl Monitor {
     /// channels mid-stream), and every common region.
     ///
     /// [`LookupStats`] is deliberately *not* exported: it counts host-side
-    /// fast-path hits, which are non-architectural — a migrated monitor
-    /// starts those at zero.
+    /// index hits, which are non-architectural — a migrated monitor
+    /// starts those at zero. Neither is the cpuid MRU slot: it is a pure
+    /// cache of `cpuid_cache`, so the importer starts it empty rather
+    /// than trust a slot that could contradict the map it fronts.
     #[must_use]
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = erebor_wire::WireWriter::new();
@@ -268,7 +262,6 @@ impl Monitor {
         for region in self.common_regions.values() {
             w.bytes(&region.export_state());
         }
-        w.bool(self.fast_lookup);
         match &self.kernel_text {
             None => w.bool(false),
             Some((va, frames)) => {
@@ -313,16 +306,6 @@ impl Monitor {
                 w.u32(v);
             }
         }
-        match &self.cpuid_mru {
-            None => w.bool(false),
-            Some((leaf, regs)) => {
-                w.bool(true);
-                w.u32(*leaf);
-                for &v in regs {
-                    w.u32(v);
-                }
-            }
-        }
         w.u64(self.kernel_return.0);
         w.u32(self.next_sandbox);
         w.u32(self.next_region);
@@ -335,12 +318,14 @@ impl Monitor {
     /// assembled, so a torn or hostile stream never yields a
     /// half-imported monitor. The O(1) indexes (`as_index`,
     /// `root_index`) are derived from the authoritative maps rather
-    /// than transferred, and [`LookupStats`] starts fresh.
+    /// than transferred, the cpuid MRU slot starts empty, and
+    /// [`LookupStats`] starts fresh.
     ///
     /// # Errors
     /// [`erebor_wire::WireError`] on a version mismatch, truncation,
     /// unknown tags, sparse or out-of-order sandbox ids, duplicate
-    /// region ids, or trailing bytes.
+    /// region ids, address-space roots or cpuid leaves, or trailing
+    /// bytes.
     pub fn import_state(bytes: &[u8]) -> Result<Monitor, erebor_wire::WireError> {
         use erebor_wire::WireError;
         let mut r = erebor_wire::WireReader::new(bytes);
@@ -387,7 +372,6 @@ impl Monitor {
                 });
             }
         }
-        let fast_lookup = r.bool()?;
         let kernel_text = if r.bool()? {
             let va = VirtAddr(r.u64()?);
             let n = r.seq(8)?;
@@ -445,18 +429,12 @@ impl Monitor {
             for v in &mut regs {
                 *v = r.u32()?;
             }
-            cpuid_cache.insert(leaf, regs);
-        }
-        let cpuid_mru = if r.bool()? {
-            let leaf = r.u32()?;
-            let mut regs = [0u32; 4];
-            for v in &mut regs {
-                *v = r.u32()?;
+            if cpuid_cache.insert(leaf, regs).is_some() {
+                return Err(WireError::BadValue {
+                    what: "duplicate cpuid leaf",
+                });
             }
-            Some((leaf, regs))
-        } else {
-            None
-        };
+        }
         let kernel_return = VirtAddr(r.u64()?);
         let next_sandbox = r.u32()?;
         let next_region = r.u32()?;
@@ -491,7 +469,6 @@ impl Monitor {
             idt_base,
             sandboxes,
             common_regions,
-            fast_lookup,
             lookup_stats: LookupStats::default(),
             kernel_text,
             kernel_syscall_entry,
@@ -502,7 +479,7 @@ impl Monitor {
             cma,
             device,
             cpuid_cache,
-            cpuid_mru,
+            cpuid_mru: None,
             kernel_return,
             next_sandbox,
             next_region,
@@ -878,24 +855,19 @@ impl Monitor {
     /// cpuid cache probe shared by the EMC and `#VE` emulation paths.
     /// The one-entry MRU slot in front of the ordered map catches the
     /// common repeated-leaf pattern; `stats.cpuid_cached` counts every
-    /// cache hit identically in both modes, so snapshots stay
-    /// byte-identical across the `fast_lookup` toggle.
+    /// cache hit, whichever of the two answered.
     fn cpuid_cache_get(&mut self, leaf: u32) -> Option<[u32; 4]> {
-        if self.fast_lookup {
-            if let Some((l, v)) = self.cpuid_mru {
-                if l == leaf {
-                    self.lookup_stats.bump_cpuid_mru();
-                    self.stats.cpuid_cached = self.stats.cpuid_cached.saturating_add(1);
-                    return Some(v);
-                }
+        if let Some((l, v)) = self.cpuid_mru {
+            if l == leaf {
+                self.lookup_stats.bump_cpuid_mru();
+                self.stats.cpuid_cached = self.stats.cpuid_cached.saturating_add(1);
+                return Some(v);
             }
         }
         let v = self.cpuid_cache.get(&leaf).copied();
         if let Some(v) = v {
             self.stats.cpuid_cached = self.stats.cpuid_cached.saturating_add(1);
-            if self.fast_lookup {
-                self.cpuid_mru = Some((leaf, v));
-            }
+            self.cpuid_mru = Some((leaf, v));
         }
         v
     }
@@ -904,9 +876,7 @@ impl Monitor {
     /// a faulted or module-declined round trip must not pin zeros).
     fn cpuid_cache_put(&mut self, leaf: u32, value: [u32; 4]) {
         self.cpuid_cache.insert(leaf, value);
-        if self.fast_lookup {
-            self.cpuid_mru = Some((leaf, value));
-        }
+        self.cpuid_mru = Some((leaf, value));
     }
 
     fn create_address_space(
@@ -957,12 +927,8 @@ impl Monitor {
         if writable && executable {
             return Err(EmcError::Denied("W^X: writable+executable refused"));
         }
-        let asid = if self.fast_lookup {
-            self.lookup_stats.bump_as_index();
-            self.as_index.get(&root.0).copied().unwrap_or(0)
-        } else {
-            self.address_spaces.get(&root.0).copied().unwrap_or(0)
-        };
+        self.lookup_stats.bump_as_index();
+        let asid = self.as_index.get(&root.0).copied().unwrap_or(0);
         let f = match frame {
             None => {
                 let f = machine.mem.alloc_frame().map_err(|_| EmcError::NoMemory)?;
@@ -1325,24 +1291,17 @@ impl Monitor {
     }
 
     /// The sandbox owning `root`, if any (the CR3→sandbox lookup of the
-    /// gate path: every kernel-requested mapping consults it). With
-    /// `fast_lookup` this is one hash probe validated against the slab
-    /// entry — roots are unique and dead sandboxes leave the index, so
-    /// the validation can only confirm, never miscorrect; without it,
-    /// the seed's linear scan over every sandbox ever created.
+    /// gate path: every kernel-requested mapping consults it). One hash
+    /// probe validated against the slab entry — roots are unique and
+    /// dead sandboxes leave the index, so the validation can only
+    /// confirm, never miscorrect.
     #[must_use]
     pub fn sandbox_by_root(&self, root: Frame) -> Option<SandboxId> {
-        if self.fast_lookup {
-            self.lookup_stats.bump_root_index();
-            return self.root_index.get(&root.0).and_then(|id| {
-                let s = self.sandboxes.get(id)?;
-                (s.root == root && s.state != SandboxState::Dead).then_some(s.id)
-            });
-        }
-        self.sandboxes
-            .values()
-            .find(|s| s.root == root && s.state != SandboxState::Dead)
-            .map(|s| s.id)
+        self.lookup_stats.bump_root_index();
+        self.root_index.get(&root.0).and_then(|id| {
+            let s = self.sandboxes.get(id)?;
+            (s.root == root && s.state != SandboxState::Dead).then_some(s.id)
+        })
     }
 
     fn declare_confined(
@@ -2422,7 +2381,7 @@ mod migration_tests {
     #[test]
     fn lookup_stats_start_fresh_on_import() -> Result<(), erebor_wire::WireError> {
         let m = busy_monitor();
-        // Burn some fast-path counters on the source.
+        // Burn some index counters on the source.
         assert!(m.address_space_registered(Frame(11)));
         assert!(m.address_space_registered(Frame(12)));
         assert!(m.lookup_stats.as_index_lookups() > 0);
@@ -2448,6 +2407,62 @@ mod migration_tests {
         let mut extra = bytes.clone();
         extra.push(0);
         assert!(Monitor::import_state(&extra).is_err(), "trailing byte");
+    }
+
+    /// Every earlier layout — including version 2, which still carried
+    /// the lookup-mode flag and the cpuid MRU slot — is refused typed.
+    #[test]
+    fn monitor_state_at_an_older_version_is_refused() {
+        let mut bytes = busy_monitor().export_state();
+        for old in 1..MONITOR_STATE_VERSION {
+            bytes[..4].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                Monitor::import_state(&bytes).err(),
+                Some(erebor_wire::WireError::BadValue {
+                    what: "monitor state version"
+                }),
+                "version {old} accepted"
+            );
+        }
+    }
+
+    /// The cpuid MRU slot is a cache of `cpuid_cache` and never travels:
+    /// a source whose slot contradicts its map (a buggy or hostile
+    /// source) cannot make the destination answer the slot's value.
+    #[test]
+    fn migrated_cpuid_answers_come_from_the_cache_not_the_mru() {
+        let mut m = busy_monitor();
+        m.cpuid_mru = Some((1, [0xbad, 0xbad, 0xbad, 0xbad]));
+        let mut imported = Monitor::import_state(&m.export_state()).expect("imports");
+        assert_eq!(imported.cpuid_mru, None, "the MRU slot starts empty");
+        assert_eq!(imported.cpuid_cache_get(1), Some([0xa, 0xb, 0xc, 0xd]));
+        assert_eq!(imported.cpuid_mru, Some((1, [0xa, 0xb, 0xc, 0xd])));
+    }
+
+    /// A stream listing one cpuid leaf twice is refused typed, as a
+    /// duplicate address-space root is — never silently overwritten.
+    #[test]
+    fn duplicate_cpuid_leaf_is_refused() {
+        let mut m = busy_monitor();
+        let regs = [0x51, 0x52, 0x53, 0x54];
+        m.cpuid_cache.insert(2, regs);
+        let mut bytes = m.export_state();
+        // Rewrite leaf 2's key to 1 in place.
+        let mut entry = 2u32.to_le_bytes().to_vec();
+        for v in regs {
+            entry.extend_from_slice(&v.to_le_bytes());
+        }
+        let hits: Vec<usize> = (0..=bytes.len() - entry.len())
+            .filter(|&i| bytes[i..i + entry.len()] == entry[..])
+            .collect();
+        assert_eq!(hits.len(), 1, "leaf 2's entry must be unique in the stream");
+        bytes[hits[0]..hits[0] + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Monitor::import_state(&bytes).err(),
+            Some(erebor_wire::WireError::BadValue {
+                what: "duplicate cpuid leaf"
+            })
+        );
     }
 
     #[test]

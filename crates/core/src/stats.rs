@@ -125,11 +125,10 @@ impl MonitorStats {
     }
 }
 
-/// Observability counters for the monitor's O(1) lookup fast paths
-/// (fleet mode). Deliberately *not* part of [`MonitorStats`] or any
-/// snapshot: the counters differ between fleet-mode-on and ablated runs
-/// that are otherwise byte-identical, and the equivalence suite asserts
-/// snapshot equality across the toggle.
+/// Observability counters for the monitor's O(1) lookup indexes.
+/// Deliberately *not* part of [`MonitorStats`] or any snapshot: they
+/// count host-side work, not simulated architecture, and a migrated
+/// monitor restarts them at zero while its snapshot carries over.
 ///
 /// Interior mutability (`Cell`) lets `&self` lookup helpers such as
 /// [`crate::monitor::Monitor::sandbox_by_root`] count without widening

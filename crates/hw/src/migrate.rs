@@ -35,8 +35,8 @@ use crate::idt::Idtr;
 /// Format version stamped at the head of every export; import refuses
 /// anything else (a silent cross-version decode would be state confusion
 /// by construction). Version 2 predates the per-core parked and
-/// flush-owed bits.
-pub const MACHINE_STATE_VERSION: u32 = 3;
+/// flush-owed bits; version 3 still carried the allocator scan-mode flag.
+pub const MACHINE_STATE_VERSION: u32 = 4;
 
 fn put_event(w: &mut WireWriter, e: &TraceEvent) {
     match e {
@@ -683,18 +683,22 @@ mod tests {
         assert!(Machine::import_state(&wrong_ver, &[]).is_err());
     }
 
-    /// A blob at the previous layout (version 2, no parked or flush-owed
-    /// bits) is refused typed, never half-parsed.
+    /// A blob at an earlier layout (version 2, no parked or flush-owed
+    /// bits; version 3, with the allocator scan-mode flag) is refused
+    /// typed, never half-parsed.
     #[test]
     fn machine_state_at_the_old_version_is_refused() {
         let mut blob = busy_machine().export_state();
-        blob[..4].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(
-            Machine::import_state(&blob, &[]).err(),
-            Some(WireError::BadValue {
-                what: "machine state version"
-            })
-        );
+        for old in 2..MACHINE_STATE_VERSION {
+            blob[..4].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                Machine::import_state(&blob, &[]).err(),
+                Some(WireError::BadValue {
+                    what: "machine state version"
+                }),
+                "version {old} accepted"
+            );
+        }
     }
 
     /// A parked core that owes a flush migrates as such: the destination

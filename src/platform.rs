@@ -292,26 +292,15 @@ impl Platform {
         self.cvm.machine.clear_injector();
     }
 
-    /// Toggle every fleet-mode fast path together: the bitmap frame
-    /// allocator scan (`PhysMemory::fast_scan`) and the monitor's O(1)
-    /// lookup indexes (`Monitor::fast_lookup`). `false` is the ablated
-    /// baseline the fleet bench measures against: the seed's linear frame
-    /// scans and linear sandbox lookups, with identical simulated results.
-    pub fn set_fleet_mode(&mut self, enabled: bool) {
-        self.cvm.machine.mem.fast_scan = enabled;
-        self.cvm.monitor.fast_lookup = enabled;
-    }
-
     /// Frame-allocator scan counters (host-side work, outside
-    /// [`Snapshot`]: the fast and ablated scans do different amounts of
-    /// host work for identical simulated results).
+    /// [`Snapshot`], restarted by a migration import).
     #[must_use]
     pub fn alloc_stats(&self) -> erebor_hw::phys::AllocStats {
         self.cvm.machine.mem.alloc_stats
     }
 
-    /// Monitor lookup fast-path counters (outside [`Snapshot`] for the
-    /// same reason).
+    /// Monitor lookup-index counters (outside [`Snapshot`] for the same
+    /// reason).
     #[must_use]
     pub fn lookup_stats(&self) -> &erebor_core::stats::LookupStats {
         &self.cvm.monitor.lookup_stats

@@ -610,8 +610,8 @@ impl Injector for FleetIpiChaos {
     }
 }
 
-/// Fleet-scale chaos campaign body (fleet mode on), parameterized over
-/// the isolation backend and fleet size: kill/redeploy churn issues
+/// Fleet-scale chaos campaign body, parameterized over the isolation
+/// backend and fleet size: kill/redeploy churn issues
 /// gathered full-mm batches while the injector drops IPIs
 /// and delivers spurious flushes. The dropped full-flush batches must
 /// land in the per-ASID pending ledger, the TLB-coherence invariant and
@@ -631,8 +631,6 @@ fn run_fleet_chaos_campaign(backend: erebor::ehw::isolation::BackendKind, slots:
     };
     cfg.config.backend = backend;
     let mut p = Platform::boot_with(cfg).unwrap();
-    p.set_fleet_mode(true);
-    assert!(p.cvm.monitor.fast_lookup && p.cvm.machine.mem.fast_scan);
     // Shootdowns skip parked cores, so there would be no IPI to drop:
     // wake the secondary cores for the seeded phase.
     for cpu in 1..p.cvm.machine.cpus.len() {

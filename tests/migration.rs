@@ -158,7 +158,6 @@ fn precopy_rounds_capture_pages_dirtied_in_flight() {
 fn migrated_counters_start_fresh_while_architecture_is_identical() {
     let seed = 0xC0DE;
     let mut src = boot(seed, BackendKind::Pks);
-    src.set_fleet_mode(true);
     let (mut svc, mut client) = deploy(&mut src, 3);
     serve(&mut src, &mut svc, &mut client, b"count me");
     assert!(
@@ -168,7 +167,6 @@ fn migrated_counters_start_fresh_while_architecture_is_identical() {
     assert!(src.lookup_stats().as_index_lookups() > 0);
 
     let mut dest = boot(seed, BackendKind::Pks);
-    dest.set_fleet_mode(true);
     let src_key = MigrationKey::from_seed([0x33; 32]);
     let dest_key = MigrationKey::from_seed([0x44; 32]);
     let offer = dest.migration_offer(&dest_key, &src_key.public());
@@ -470,7 +468,6 @@ fn migrated_64_sandbox_fleet_audits_clean() {
         .expect("boot")
     };
     let mut src = fleet_boot();
-    src.set_fleet_mode(true);
     let mut fleet = Vec::new();
     for i in 0..64u8 {
         let svc = src
@@ -489,7 +486,6 @@ fn migrated_64_sandbox_fleet_audits_clean() {
     assert!(src.audit().is_clean());
 
     let mut dest = fleet_boot();
-    dest.set_fleet_mode(true);
     let src_key = MigrationKey::from_seed([0x99; 32]);
     let dest_key = MigrationKey::from_seed([0xAA; 32]);
     let offer = dest.migration_offer(&dest_key, &src_key.public());
@@ -540,7 +536,8 @@ fn source_refuses_unattested_destination() {
 }
 
 /// The monitor section carries a layout version; a section written at
-/// the previous layout is refused typed, never half-parsed.
+/// any earlier layout (version 2 still carried the lookup-mode flag and
+/// the cpuid MRU slot) is refused typed, never half-parsed.
 #[test]
 fn monitor_section_at_the_old_version_is_refused() {
     use erebor::ecore::monitor::{Monitor, MONITOR_STATE_VERSION};
@@ -550,11 +547,14 @@ fn monitor_section_at_the_old_version_is_refused() {
         Monitor::import_state(&bytes).is_ok(),
         "current version imports"
     );
-    bytes[..4].copy_from_slice(&(MONITOR_STATE_VERSION - 1).to_le_bytes());
-    assert_eq!(
-        Monitor::import_state(&bytes).err(),
-        Some(erebor_wire::WireError::BadValue {
-            what: "monitor state version"
-        })
-    );
+    for old in 1..MONITOR_STATE_VERSION {
+        bytes[..4].copy_from_slice(&old.to_le_bytes());
+        assert_eq!(
+            Monitor::import_state(&bytes).err(),
+            Some(erebor_wire::WireError::BadValue {
+                what: "monitor state version"
+            }),
+            "version {old} accepted"
+        );
+    }
 }
