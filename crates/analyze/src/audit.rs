@@ -25,7 +25,8 @@ use erebor_hw::phys::PhysMemory;
 use erebor_hw::regs::Msr;
 use erebor_hw::{idt, layout, Frame, PhysAddr, VirtAddr};
 use erebor_tdx::sept::{GpaState, Sept};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 
 /// Everything the auditor may look at. The machine and at least one
 /// page-table root are mandatory; the monitor-side views are optional so
@@ -49,9 +50,10 @@ pub struct MachineView<'a> {
 
 /// One present leaf mapping discovered by the exhaustive walk, with the
 /// page-walk-effective permissions (writable AND-ed, NX OR-ed, user
-/// AND-ed over the levels) and the slot path that produced it.
-struct LeafMapping {
-    root: Frame,
+/// AND-ed over the levels) and the slot that holds it. A leaf carries
+/// no root: one under a shared subtree is stored once and belongs to
+/// every root whose walk reaches that subtree.
+struct Leaf {
     va: VirtAddr,
     pte: Pte,
     slot: PhysAddr,
@@ -60,11 +62,11 @@ struct LeafMapping {
     user: bool,
 }
 
-impl LeafMapping {
-    fn detail(&self) -> String {
+impl Leaf {
+    fn detail(&self, root: Frame) -> String {
         format!(
             "root {:#x} va {:#x} slot {:#x} -> frame {:#x} pte {:#x} (w={} nx={} user={} pk={})",
-            self.root.0,
+            root.0,
             self.va.0,
             self.slot.0,
             self.pte.frame().0,
@@ -81,12 +83,75 @@ fn saturating_bump(counter: &mut u64) {
     *counter = counter.saturating_add(1);
 }
 
-/// Exhaustively enumerate the present leaf mappings under `root`,
-/// reconstructing each virtual address from the table indices (canonical
-/// sign-extension included).
-fn walk_root(mem: &PhysMemory, root: Frame, report: &mut AuditReport, out: &mut Vec<LeafMapping>) {
-    let mut stack: Vec<(Frame, u8, u64, bool, bool, bool)> = vec![(root, 4, 0, true, false, true)];
-    while let Some((tbl, level, prefix, w, nx, user)) = stack.pop() {
+/// The full walk state on entry to a page-table page: its frame, its
+/// level, the VA prefix above it and the W/NX/U it inherits. Equal states
+/// enumerate byte-identical leaf sequences, so this is the memo key.
+type Node = (Frame, u8, u64, bool, bool, bool);
+
+/// The exhaustive walk of every root, memoised on [`Node`]: each distinct
+/// subtree is read and stored once, and each root keeps the ordered
+/// ranges of `leaves` its walk enumerates. Concatenating a root's ranges
+/// gives exactly the leaf sequence an unshared depth-first walk of that
+/// root produces, so checks run once per stored leaf and their findings
+/// are re-expanded per root in the unshared walk's order.
+struct Walk {
+    /// Every distinct leaf, in the order the walk first met it.
+    leaves: Vec<Leaf>,
+    /// Sorted, deduplicated roots with the leaf ranges each one reaches.
+    roots: Vec<(Frame, Vec<Range<usize>>)>,
+    /// `first[k]`: the first leaf index stored while walking `roots[k]`.
+    first: Vec<usize>,
+}
+
+/// Append `r` to a range list, merging it into the last range when the
+/// two are contiguous.
+fn push_range(ranges: &mut Vec<Range<usize>>, r: Range<usize>) {
+    if r.is_empty() {
+        return;
+    }
+    match ranges.last_mut() {
+        Some(last) if last.end == r.start => last.end = r.end,
+        _ => ranges.push(r),
+    }
+}
+
+impl Walk {
+    fn new(mem: &PhysMemory, roots: &[Frame], report: &mut AuditReport) -> Walk {
+        let mut walk = Walk {
+            leaves: Vec::new(),
+            roots: Vec::with_capacity(roots.len()),
+            first: Vec::with_capacity(roots.len()),
+        };
+        let mut memo = HashMap::new();
+        for &root in roots {
+            saturating_bump(&mut report.roots_walked);
+            walk.first.push(walk.leaves.len());
+            let ranges = walk.subtree(mem, (root, 4, 0, true, false, true), &mut memo, report);
+            let reached: usize = ranges.iter().map(ExactSizeIterator::len).sum();
+            report.leaf_mappings = report.leaf_mappings.saturating_add(reached as u64);
+            walk.roots.push((root, ranges));
+        }
+        walk
+    }
+
+    /// The leaf ranges under one table, reading it only on the first
+    /// visit of its walk state. Leaves come in depth-first order with a
+    /// table's children taken from the highest index down, reconstructing
+    /// each virtual address from the table indices (canonical
+    /// sign-extension included).
+    fn subtree(
+        &mut self,
+        mem: &PhysMemory,
+        node: Node,
+        memo: &mut HashMap<Node, Vec<Range<usize>>>,
+        report: &mut AuditReport,
+    ) -> Vec<Range<usize>> {
+        if let Some(ranges) = memo.get(&node) {
+            return ranges.clone();
+        }
+        let (tbl, level, prefix, w, nx, user) = node;
+        let start = self.leaves.len();
+        let mut children: Vec<Node> = Vec::new();
         for idx in 0..512u64 {
             let slot = PhysAddr(tbl.base().0 + idx * 8);
             saturating_bump(&mut report.pte_reads);
@@ -106,11 +171,9 @@ fn walk_root(mem: &PhysMemory, root: Frame, report: &mut AuditReport, out: &mut 
             let nx2 = nx || entry.nx();
             let user2 = user && entry.user();
             if level > 1 {
-                stack.push((entry.frame(), level - 1, va, w2, nx2, user2));
+                children.push((entry.frame(), level - 1, va, w2, nx2, user2));
             } else {
-                saturating_bump(&mut report.leaf_mappings);
-                out.push(LeafMapping {
-                    root,
+                self.leaves.push(Leaf {
                     va: VirtAddr(va),
                     pte: entry,
                     slot,
@@ -119,6 +182,69 @@ fn walk_root(mem: &PhysMemory, root: Frame, report: &mut AuditReport, out: &mut 
                     user: user2,
                 });
             }
+        }
+        let mut ranges = Vec::new();
+        push_range(&mut ranges, start..self.leaves.len());
+        for child in children.into_iter().rev() {
+            for r in self.subtree(mem, child, memo, report) {
+                push_range(&mut ranges, r);
+            }
+        }
+        memo.insert(node, ranges.clone());
+        ranges
+    }
+
+    /// The root whose walk stored leaf `i`: the root of leaf `i`'s first
+    /// appearance in the per-root order.
+    fn first_root(&self, i: usize) -> Frame {
+        let k = self.first.partition_point(|&f| f <= i);
+        self.roots[k - 1].0
+    }
+
+    /// Emit `flags` (sorted by leaf) once per (root, leaf) pair that
+    /// reaches them, roots in sorted order and leaves in walk order, and
+    /// skipping each flag's excepted root.
+    fn emit(
+        &self,
+        check: &'static str,
+        claim: &'static str,
+        flags: &[Flag],
+        report: &mut AuditReport,
+    ) {
+        if flags.is_empty() {
+            return;
+        }
+        for (root, ranges) in &self.roots {
+            for r in ranges {
+                let lo = flags.partition_point(|f| f.leaf < r.start);
+                for f in flags[lo..].iter().take_while(|f| f.leaf < r.end) {
+                    if f.except != Some(*root) {
+                        let detail = self.leaves[f.leaf].detail(*root);
+                        report
+                            .findings
+                            .push(Finding::new(check, claim, format!("{}{detail}", f.text)));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A per-leaf verdict: a finding for every root that reaches `leaf`
+/// except `except`, whose detail is `text` followed by the leaf's path
+/// under that root.
+struct Flag {
+    leaf: usize,
+    except: Option<Frame>,
+    text: String,
+}
+
+impl Flag {
+    fn new(leaf: usize, text: String) -> Flag {
+        Flag {
+            leaf,
+            except: None,
+            text,
         }
     }
 }
@@ -179,21 +305,16 @@ pub fn audit(view: &MachineView) -> AuditReport {
     roots.sort_by_key(|r| r.0);
     roots.dedup();
 
-    let mem = &view.machine.mem;
-    let mut leaves: Vec<LeafMapping> = Vec::new();
-    for &root in &roots {
-        saturating_bump(&mut report.roots_walked);
-        walk_root(mem, root, &mut report, &mut leaves);
-    }
+    let walk = Walk::new(&view.machine.mem, &roots, &mut report);
 
-    check_wx(view, &leaves, &mut report);
-    check_pkey_tagging(view, &leaves, &mut report);
-    check_confined_unreachable(view, &leaves, &mut report);
-    check_sstk_protected(view, &leaves, &mut report);
+    check_wx(view, &walk, &mut report);
+    check_pkey_tagging(view, &walk, &mut report);
+    check_confined_unreachable(view, &walk, &mut report);
+    check_sstk_protected(view, &walk, &mut report);
     check_control_transfer(view, &mut report);
     check_msr_pinning(view, &mut report);
-    check_sept_consistency(view, &leaves, &mut report);
-    check_ledger_consistency(view, &leaves, &mut report);
+    check_sept_consistency(view, &walk, &mut report);
+    check_ledger_consistency(view, &walk, &mut report);
     report
 }
 
@@ -201,16 +322,15 @@ pub fn audit(view: &MachineView) -> AuditReport {
 /// and (when the frame table is available to name kinds) no frame is
 /// executable via one path while plainly writable — under a key normal
 /// mode can store through — via another.
-fn check_wx(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport) {
-    for m in leaves {
-        if m.writable && !m.nx {
-            report.findings.push(Finding::new(
-                "wx-exclusive",
-                "C1",
-                format!("writable+executable leaf: {}", m.detail()),
-            ));
-        }
-    }
+fn check_wx(view: &MachineView, walk: &Walk, report: &mut AuditReport) {
+    let flags: Vec<Flag> = walk
+        .leaves
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| m.writable && !m.nx)
+        .map(|(i, _)| Flag::new(i, "writable+executable leaf: ".to_owned()))
+        .collect();
+    walk.emit("wx-exclusive", "C1", &flags, report);
     if view.monitor.is_none() {
         // Without the monitor's policy there is no notion of which
         // cross-path aliases are sanctioned; the per-leaf form above is
@@ -218,9 +338,11 @@ fn check_wx(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport
         return;
     }
     let normal = policy::normal_mode_pkrs();
-    // frame -> (first executable path, first normal-mode-writable path)
+    // frame -> (first executable path, first normal-mode-writable path).
+    // A leaf's first appearance in store order is its first appearance
+    // in the per-root order, under the root that stored it.
     let mut paths: BTreeMap<u64, (Option<usize>, Option<usize>)> = BTreeMap::new();
-    for (i, m) in leaves.iter().enumerate() {
+    for (i, m) in walk.leaves.iter().enumerate() {
         let e = paths.entry(m.pte.frame().0).or_default();
         if !m.nx && e.0.is_none() {
             e.0 = Some(i);
@@ -248,8 +370,8 @@ fn check_wx(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport
                         "frame {:#x} executable via one path and normal-writable via another: \
                          exec [{}], write [{}]",
                         frame,
-                        leaves[x].detail(),
-                        leaves[w].detail()
+                        walk.leaves[x].detail(walk.first_root(x)),
+                        walk.leaves[w].detail(walk.first_root(w))
                     ),
                 ));
             }
@@ -261,19 +383,16 @@ fn check_wx(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport
 /// protection key (monitor, PTP, kernel text, shadow stack, IDT) must
 /// never be reachable through a leaf carrying the *default* key — that
 /// would hand normal-mode code an ungoverned view of protected memory.
-fn check_pkey_tagging(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport) {
+fn check_pkey_tagging(view: &MachineView, walk: &Walk, report: &mut AuditReport) {
     let Some(mon) = view.monitor else { return };
-    for m in leaves {
+    let mut flags = Vec::new();
+    for (i, m) in walk.leaves.iter().enumerate() {
         let kind = mon.frames.kind(m.pte.frame());
         let want = policy::pkey_for(kind);
         if want != policy::PK_DEFAULT && m.pte.pkey() == policy::PK_DEFAULT {
-            report.findings.push(Finding::new(
-                "pkey-tagging",
-                "C2",
-                format!(
-                    "{kind:?} frame demands pk{want} but is mapped with the default key: {}",
-                    m.detail()
-                ),
+            flags.push(Flag::new(
+                i,
+                format!("{kind:?} frame demands pk{want} but is mapped with the default key: "),
             ));
         }
         // Confined frames: every supervisor view must carry exactly the
@@ -286,18 +405,16 @@ fn check_pkey_tagging(view: &MachineView, leaves: &[LeafMapping], report: &mut A
                 if let Some(s) = mon.sandboxes.get(&sandbox) {
                     let tag = mon.backend.frame_tag(s.domain);
                     if m.pte.pkey() != tag.pkey || m.pte.keyid() != tag.keyid {
-                        report.findings.push(Finding::new(
-                            "pkey-tagging",
-                            "C2",
+                        flags.push(Flag::new(
+                            i,
                             format!(
                                 "confined frame of sandbox {sandbox} demands tag \
                                  (pk{}, key {}) but a supervisor view carries \
-                                 (pk{}, key {}): {}",
+                                 (pk{}, key {}): ",
                                 tag.pkey,
                                 tag.keyid,
                                 m.pte.pkey(),
                                 m.pte.keyid(),
-                                m.detail()
                             ),
                         ));
                     }
@@ -305,15 +422,18 @@ fn check_pkey_tagging(view: &MachineView, leaves: &[LeafMapping], report: &mut A
             }
         }
     }
+    walk.emit("pkey-tagging", "C2", &flags, report);
 }
 
 /// C3 `confined-unreachable`: sandbox confined memory is reachable only
 /// from its owning sandbox's address space (or under the monitor key).
 /// After seal/unmap/kill the kernel and every other sandbox must have no
-/// path to the frame.
-fn check_confined_unreachable(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport) {
+/// path to the frame. The verdict depends on the root, so each candidate
+/// leaf is flagged for every root that reaches it except the owner's.
+fn check_confined_unreachable(view: &MachineView, walk: &Walk, report: &mut AuditReport) {
     let Some(mon) = view.monitor else { return };
-    for m in leaves {
+    let mut flags = Vec::new();
+    for (i, m) in walk.leaves.iter().enumerate() {
         let FrameKind::Confined { sandbox } = mon.frames.kind(m.pte.frame()) else {
             continue;
         };
@@ -323,38 +443,31 @@ fn check_confined_unreachable(view: &MachineView, leaves: &[LeafMapping], report
             // — both access-disabled outside an EMC.
             continue;
         }
-        let owner_root = mon.sandboxes.get(&sandbox).map(|s| s.root);
-        if owner_root != Some(m.root) {
-            report.findings.push(Finding::new(
-                "confined-unreachable",
-                "C3",
-                format!(
-                    "confined frame of sandbox {sandbox} reachable outside its address space: {}",
-                    m.detail()
-                ),
-            ));
-        }
+        flags.push(Flag {
+            leaf: i,
+            except: mon.sandboxes.get(&sandbox).map(|s| s.root),
+            text: format!("confined frame of sandbox {sandbox} reachable outside its address space: "),
+        });
     }
+    walk.emit("confined-unreachable", "C3", &flags, report);
 }
 
 /// C4 `sstk-protected`: shadow-stack frames are never writable to normal
 /// stores — any writable leaf must carry the shadow-stack key (which
 /// normal mode can only read through) or the monitor key.
-fn check_sstk_protected(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport) {
+fn check_sstk_protected(view: &MachineView, walk: &Walk, report: &mut AuditReport) {
     let Some(mon) = view.monitor else { return };
-    for m in leaves {
+    let mut flags = Vec::new();
+    for (i, m) in walk.leaves.iter().enumerate() {
         if mon.frames.kind(m.pte.frame()) != FrameKind::ShadowStack {
             continue;
         }
         let pk = m.pte.pkey();
         if m.writable && pk != policy::PK_SSTK && pk != policy::PK_MONITOR {
-            report.findings.push(Finding::new(
-                "sstk-protected",
-                "C4",
-                format!("shadow-stack frame writable under pk{pk}: {}", m.detail()),
-            ));
+            flags.push(Flag::new(i, format!("shadow-stack frame writable under pk{pk}: ")));
         }
     }
+    walk.emit("sstk-protected", "C4", &flags, report);
 }
 
 /// C5 `control-transfer`: every architectural entry point into the
@@ -492,12 +605,14 @@ fn check_msr_pinning(view: &MachineView, report: &mut AuditReport) {
 /// frames the guest maps as ordinary memory are accepted private, and
 /// every host-shared GPA is typed `SharedDevice` in the frame table (so
 /// nothing secret can sit in a window the host can read).
-fn check_sept_consistency(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport) {
+fn check_sept_consistency(view: &MachineView, walk: &Walk, report: &mut AuditReport) {
     let (Some(mon), Some(sept)) = (view.monitor, view.sept) else {
         return;
     };
+    // Each frame is checked at its first path, under the root that
+    // stored that leaf.
     let mut checked: BTreeSet<u64> = BTreeSet::new();
-    for m in leaves {
+    for (i, m) in walk.leaves.iter().enumerate() {
         let f = m.pte.frame();
         if !checked.insert(f.0) {
             continue;
@@ -508,14 +623,20 @@ fn check_sept_consistency(view: &MachineView, leaves: &[LeafMapping], report: &m
                 report.findings.push(Finding::new(
                     "sept-consistency",
                     "C7",
-                    format!("host-shared frame mapped as {kind:?}: {}", m.detail()),
+                    format!(
+                        "host-shared frame mapped as {kind:?}: {}",
+                        m.detail(walk.first_root(i))
+                    ),
                 ));
             }
             Some(GpaState::Private) if kind == FrameKind::SharedDevice => {
                 report.findings.push(Finding::new(
                     "sept-consistency",
                     "C7",
-                    format!("SharedDevice frame still sEPT-private: {}", m.detail()),
+                    format!(
+                        "SharedDevice frame still sEPT-private: {}",
+                        m.detail(walk.first_root(i))
+                    ),
                 ));
             }
             _ => {}
@@ -539,7 +660,7 @@ fn check_sept_consistency(view: &MachineView, leaves: &[LeafMapping], report: &m
 /// the monitor accounts as fully unmapped is still reachable, and every
 /// `Confined{sandbox}` frame is on the `confined` list of that sandbox,
 /// which is still alive (else no teardown will ever release it).
-fn check_ledger_consistency(view: &MachineView, leaves: &[LeafMapping], report: &mut AuditReport) {
+fn check_ledger_consistency(view: &MachineView, walk: &Walk, report: &mut AuditReport) {
     let machine = view.machine;
     for (cpu, tlb) in machine.tlbs.iter().enumerate() {
         for e in tlb.entries() {
@@ -566,17 +687,17 @@ fn check_ledger_consistency(view: &MachineView, leaves: &[LeafMapping], report: 
         }
     }
     let Some(mon) = view.monitor else { return };
-    for m in leaves {
-        let f = m.pte.frame();
-        if matches!(mon.frames.kind(f), FrameKind::UserAnon { .. }) && mon.frames.mapcount(f) == 0
-        {
-            report.findings.push(Finding::new(
-                "ledger-consistency",
-                "C8",
-                format!("frame accounted fully unmapped but still reachable: {}", m.detail()),
-            ));
-        }
-    }
+    let flags: Vec<Flag> = walk
+        .leaves
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| {
+            let f = m.pte.frame();
+            matches!(mon.frames.kind(f), FrameKind::UserAnon { .. }) && mon.frames.mapcount(f) == 0
+        })
+        .map(|(i, _)| Flag::new(i, "frame accounted fully unmapped but still reachable: ".to_owned()))
+        .collect();
+    walk.emit("ledger-consistency", "C8", &flags, report);
     let owned: BTreeSet<(u32, u64)> = mon
         .sandboxes
         .values()

@@ -41,8 +41,9 @@ pub const SYS_IOCTL: u64 = 16;
 
 /// Layout version of [`Monitor::export_state`]. Version 1 was the
 /// unversioned layout that still carried a shootdown-coalescing flag;
-/// version 2 still carried a lookup-mode flag and the cpuid MRU slot.
-pub const MONITOR_STATE_VERSION: u32 = 3;
+/// version 2 still carried a lookup-mode flag and the cpuid MRU slot;
+/// version 3 still carried the kill-fence switch.
+pub const MONITOR_STATE_VERSION: u32 = 4;
 
 /// The direct-map tag of a frame no sandbox confines: default pkey, no
 /// key-ID.
@@ -101,11 +102,6 @@ pub struct Monitor {
     /// keys (≤16 domains) or TME-MK keyed memory (≤4096). Selected by
     /// [`ExecConfig::backend`].
     pub backend: Backend,
-    /// Run the post-teardown isolation fence in [`Monitor::kill_sandbox`]
-    /// (alias retag-back, domain revocation, cpuid-MRU drop). Always on
-    /// in production; the domain-leak regression tests ablate it to
-    /// reproduce the bug class.
-    pub kill_fence: bool,
     /// EMC gate state.
     pub gate: EmcGate,
     /// Deterministic randomness for channel keys.
@@ -164,7 +160,6 @@ impl Monitor {
             stats: MonitorStats::default(),
             frames,
             backend: Backend::new(cfg.backend, RESERVED_PKEYS, PK_MONITOR),
-            kill_fence: true,
             gate,
             rng: DetRng::new(rng_seed),
             kernel_root,
@@ -245,7 +240,6 @@ impl Monitor {
         w.bytes(&self.stats.export_state());
         w.bytes(&self.frames.export_state());
         w.bytes(&self.backend.export_state());
-        w.bool(self.kill_fence);
         w.bytes(&self.gate.export_state());
         let (rng_key, rng_ctr) = self.rng.to_parts();
         w.raw(&rng_key);
@@ -338,7 +332,6 @@ impl Monitor {
         let stats = MonitorStats::import_state(r.bytes()?)?;
         let frames = FrameTable::import_state(r.bytes()?)?;
         let backend_bytes = r.bytes()?.to_vec();
-        let kill_fence = r.bool()?;
         let gate = EmcGate::import_state(r.bytes()?)?;
         let rng_key = r.array::<32>()?;
         let rng_ctr = r.u32()?;
@@ -460,7 +453,6 @@ impl Monitor {
             stats,
             frames,
             backend,
-            kill_fence,
             gate,
             rng: DetRng::from_parts(rng_key, rng_ctr),
             kernel_root,
@@ -1827,18 +1819,12 @@ impl Monitor {
     ///    reuse it.
     /// 3. Drop the cpuid MRU so no cached cpuid answer outlives the
     ///    sandbox.
-    ///
-    /// `kill_fence = false` ablates all of it; the domain-leak
-    /// regression tests reproduce the bug class that way.
     fn kill_fence_epilogue(
         &mut self,
         machine: &mut Machine,
         confined: &[(VirtAddr, Frame)],
         domain: DomainId,
     ) {
-        if !self.kill_fence {
-            return;
-        }
         let mut gather = mmu_guard::TlbGather::kernel();
         let kroot = self.kernel_root;
         for &(_, frame) in confined {
@@ -2410,7 +2396,8 @@ mod migration_tests {
     }
 
     /// Every earlier layout — including version 2, which still carried
-    /// the lookup-mode flag and the cpuid MRU slot — is refused typed.
+    /// the lookup-mode flag and the cpuid MRU slot, and version 3, which
+    /// still carried the kill-fence switch — is refused typed.
     #[test]
     fn monitor_state_at_an_older_version_is_refused() {
         let mut bytes = busy_monitor().export_state();

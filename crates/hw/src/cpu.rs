@@ -167,9 +167,6 @@ pub struct Machine {
     /// Per-core bounded ring of cycle-stamped trace events. Recording
     /// charges no cycles, so tracing never perturbs the model it observes.
     pub trace: TraceBuffer,
-    /// Fast-path switch: `false` forces every translation through the
-    /// walker (ablation + the TLB-equivalence property test).
-    pub tlb_enabled: bool,
     /// MMU-trace switch: when set, TLB maintenance and cached-translation
     /// hits record gated trace events ([`TraceEvent::TlbShootdown`],
     /// [`TraceEvent::TlbInvlpg`], [`TraceEvent::TlbFlush`],
@@ -219,7 +216,6 @@ impl Machine {
             tlbs: (0..cores).map(|_| Tlb::new()).collect(),
             stats: HwStats::default(),
             trace: TraceBuffer::new(cores),
-            tlb_enabled: true,
             mmu_trace: false,
             sensitive_domains: BTreeSet::new(),
             injector: None,
@@ -499,27 +495,25 @@ impl Machine {
         // it has woken it, owed flush first.
         self.wake(cpu);
         let env = self.env(cpu);
-        if self.tlb_enabled {
-            if let Some(entry) = self.tlbs[cpu].lookup(env.root, va, kind) {
-                let needs_dirty_promotion = kind == AccessKind::Write && !entry.dirty;
-                if !needs_dirty_promotion {
-                    if let Err(f) = mmu::check_access(&env, va, kind, entry.eff) {
-                        self.trace_fault(cpu, va, kind);
-                        return Err(f);
-                    }
-                    self.stats.tlb_hits = self.stats.tlb_hits.saturating_add(1);
-                    self.cycles.charge_to(Bucket::PageWalk, self.costs.tlb_hit);
-                    if self.mmu_trace {
-                        self.trace_event(
-                            cpu,
-                            TraceEvent::TlbHit {
-                                root: env.root.0,
-                                page: va.0 >> 12,
-                            },
-                        );
-                    }
-                    return Ok(crate::PhysAddr(entry.frame.base().0 + va.page_offset()));
+        if let Some(entry) = self.tlbs[cpu].lookup(env.root, va, kind) {
+            let needs_dirty_promotion = kind == AccessKind::Write && !entry.dirty;
+            if !needs_dirty_promotion {
+                if let Err(f) = mmu::check_access(&env, va, kind, entry.eff) {
+                    self.trace_fault(cpu, va, kind);
+                    return Err(f);
                 }
+                self.stats.tlb_hits = self.stats.tlb_hits.saturating_add(1);
+                self.cycles.charge_to(Bucket::PageWalk, self.costs.tlb_hit);
+                if self.mmu_trace {
+                    self.trace_event(
+                        cpu,
+                        TraceEvent::TlbHit {
+                            root: env.root.0,
+                            page: va.0 >> 12,
+                        },
+                    );
+                }
+                return Ok(crate::PhysAddr(entry.frame.base().0 + va.page_offset()));
             }
         }
         let t = match mmu::translate(&mut self.mem, &env, va, kind) {
@@ -531,10 +525,8 @@ impl Machine {
         };
         self.cycles
             .charge_to(Bucket::PageWalk, u64::from(t.levels_walked) * self.costs.walk_level);
-        if self.tlb_enabled {
-            self.stats.tlb_misses = self.stats.tlb_misses.saturating_add(1);
-            self.tlbs[cpu].insert(env.root, va, kind, &t);
-        }
+        self.stats.tlb_misses = self.stats.tlb_misses.saturating_add(1);
+        self.tlbs[cpu].insert(env.root, va, kind, &t);
         Ok(t.pa)
     }
 
@@ -1725,17 +1717,24 @@ mod tests {
         assert_eq!(m.stats.tlb_hits, hits + 1);
     }
 
+    /// Hits and misses both answer what a fresh walk of the live tables
+    /// answers: the reference is the walker itself, run on the same
+    /// memory and register state.
     #[test]
-    fn tlb_disabled_always_walks() {
+    fn cached_translation_matches_a_reference_walk() {
         let mut m = machine();
-        m.tlb_enabled = false;
         map(&mut m, 0xffff_8000_0000_0000u64, PteFlags::kernel_rw(0));
-        let va = VirtAddr(0xffff_8000_0000_0000);
-        m.probe(0, va, AccessKind::Read).unwrap();
-        m.probe(0, va, AccessKind::Read).unwrap();
-        assert_eq!(m.stats.tlb_hits, 0);
-        assert_eq!(m.stats.tlb_misses, 0, "off means uncounted too");
-        assert_eq!(m.tlbs[0].occupancy(), 0);
+        let va = VirtAddr(0xffff_8000_0004_0123);
+        map(&mut m, va.0 & !0xfff, PteFlags::kernel_ro(0));
+        for kind in [AccessKind::Read, AccessKind::Read, AccessKind::Write] {
+            let cached = m.translate_cached(0, va, kind).map_err(|f| format!("{f:?}"));
+            let env = m.env(0);
+            let reference = mmu::translate(&mut m.mem, &env, va, kind)
+                .map(|t| t.pa)
+                .map_err(|f| format!("{f:?}"));
+            assert_eq!(cached, reference, "{kind:?}");
+        }
+        assert_eq!(m.stats.tlb_hits, 1, "the second read hit");
     }
 
     #[test]

@@ -35,8 +35,9 @@ use crate::idt::Idtr;
 /// Format version stamped at the head of every export; import refuses
 /// anything else (a silent cross-version decode would be state confusion
 /// by construction). Version 2 predates the per-core parked and
-/// flush-owed bits; version 3 still carried the allocator scan-mode flag.
-pub const MACHINE_STATE_VERSION: u32 = 4;
+/// flush-owed bits; version 3 still carried the allocator scan-mode flag;
+/// version 4 still carried the TLB on/off switch.
+pub const MACHINE_STATE_VERSION: u32 = 5;
 
 fn put_event(w: &mut WireWriter, e: &TraceEvent) {
     match e {
@@ -305,7 +306,6 @@ impl Machine {
             }
         }
 
-        w.bool(self.tlb_enabled);
         w.bool(self.mmu_trace);
 
         w.seq(self.sensitive_domains().len());
@@ -494,7 +494,6 @@ impl Machine {
         }
         let trace = TraceBuffer::from_parts(capacity, seq, dropped, rings);
 
-        let tlb_enabled = r.bool()?;
         let mmu_trace = r.bool()?;
 
         let nsens = r.seq(1)?;
@@ -557,7 +556,6 @@ impl Machine {
         m.tlbs = tlbs;
         m.stats = stats;
         m.trace = trace;
-        m.tlb_enabled = tlb_enabled;
         m.mmu_trace = mmu_trace;
         crate::cpu::machine_set_private(
             &mut m,
@@ -684,8 +682,8 @@ mod tests {
     }
 
     /// A blob at an earlier layout (version 2, no parked or flush-owed
-    /// bits; version 3, with the allocator scan-mode flag) is refused
-    /// typed, never half-parsed.
+    /// bits; version 3, with the allocator scan-mode flag; version 4,
+    /// with the TLB on/off switch) is refused typed, never half-parsed.
     #[test]
     fn machine_state_at_the_old_version_is_refused() {
         let mut blob = busy_machine().export_state();

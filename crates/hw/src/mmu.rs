@@ -71,8 +71,8 @@ fn pf(va: VirtAddr, access: AccessKind, reason: PfReason) -> Fault {
 /// register state and a mapping's effective permissions.
 ///
 /// Shared by the walker (fresh permissions) and the TLB hit path (cached
-/// permissions), so a TLB-on and a TLB-off translation of the same state
-/// produce the same verdict and the same [`PfReason`]. Keeping the
+/// permissions), so a TLB hit and a fresh walk of the same state produce
+/// the same verdict and the same [`PfReason`]. Keeping the
 /// register checks here — outside the cached state — is what makes
 /// PKRS/CR4/CR0.WP writes flush-free, as on silicon.
 ///

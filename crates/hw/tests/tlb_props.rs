@@ -1,8 +1,9 @@
 //! TLB transparency property: for any page tables, register states, and
-//! interleaving of accesses with register writes and invalidations, a
-//! machine with the TLB enabled and one with it disabled produce the same
-//! verdict (allow, or the exact same fault) for every access, and end with
-//! byte-identical page tables (A/D bits included).
+//! interleaving of accesses with register writes and invalidations, the
+//! TLB-backed machine produces the same verdict (allow, or the exact same
+//! fault) for every access as a reference machine that answers each access
+//! with a fresh walk of its tables, and both end with byte-identical page
+//! tables (A/D bits included).
 //!
 //! Software PTE stores without invalidation are deliberately *excluded*
 //! from the op alphabet: staleness after a raw PTE write is architectural
@@ -13,8 +14,9 @@
 
 use erebor_hw::cpu::{Domain, Machine};
 use erebor_hw::fault::AccessKind;
+use erebor_hw::mmu::{self, MmuEnv};
 use erebor_hw::paging::{self, Pte, PteFlags};
-use erebor_hw::regs::{Cr0, Cr4, Msr, PkrsPerms, Rflags};
+use erebor_hw::regs::{Cr0, Cr4, Msr, Rflags};
 use erebor_hw::{CpuMode, VirtAddr};
 use erebor_testkit::collection;
 use erebor_testkit::prelude::*;
@@ -73,14 +75,36 @@ fn build(flags: &[PteFlags]) -> Machine {
     m
 }
 
+/// The reference access: walk the live tables under core 0's live
+/// register state, bypassing the TLB entirely.
+fn reference_access(m: &mut Machine, va: VirtAddr, kind: AccessKind) -> Result<(), erebor_hw::Fault> {
+    let c = &m.cpus[0];
+    let env = MmuEnv {
+        root: c.cr3,
+        cr0: c.cr0,
+        cr4: c.cr4,
+        mode: c.mode,
+        rflags: c.rflags(),
+        pkrs: c.pkrs(),
+    };
+    mmu::translate(&mut m.mem, &env, va, kind).map(|_| ())
+}
+
 /// Apply one op to a machine; returns the access verdict if the op was an
 /// access (faults compare with `==`, so reasons must match exactly).
-fn step(m: &mut Machine, op: (u8, u8, u8, u32)) -> Option<Result<(), erebor_hw::Fault>> {
+/// `reference` answers accesses with [`reference_access`] instead of
+/// going through the TLB.
+fn step(
+    m: &mut Machine,
+    op: (u8, u8, u8, u32),
+    reference: bool,
+) -> Option<Result<(), erebor_hw::Fault>> {
     let (sel, va_idx, kind_idx, seed) = op;
     let va = VirtAddr(VAS[va_idx as usize % VAS.len()] + u64::from(seed) % 4096);
     let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Execute][kind_idx as usize % 3];
     match sel % 8 {
-        0 | 1 | 2 => return Some(m.probe(0, va, kind)),
+        0..=2 if reference => return Some(reference_access(m, va, kind)),
+        0..=2 => return Some(m.probe(0, va, kind)),
         3 => {
             // Random PKRS — only meaningful (and legal) in supervisor mode.
             if m.cpus[0].mode == CpuMode::Supervisor {
@@ -107,7 +131,7 @@ fn step(m: &mut Machine, op: (u8, u8, u8, u32)) -> Option<Result<(), erebor_hw::
                     }
                 }
                 _ => {
-                    // Reload CR3 (flushes the TLB when enabled).
+                    // Reload CR3 (flushes the TLB).
                     if c.mode == CpuMode::Supervisor {
                         let root = c.cr3;
                         m.write_cr3(0, root).unwrap();
@@ -126,18 +150,16 @@ fn step(m: &mut Machine, op: (u8, u8, u8, u32)) -> Option<Result<(), erebor_hw::
 
 proptest! {
     #[test]
-    fn tlb_on_and_off_agree_on_every_verdict(
+    fn tlb_and_reference_walk_agree_on_every_verdict(
         flags in collection::vec(arb_flags(), 4..=4),
         ops in collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u32>()), 1..80),
     ) {
-        let mut on = build(&flags);
-        let mut off = build(&flags);
-        off.tlb_enabled = false;
-        prop_assert!(on.tlb_enabled);
+        let mut cached = build(&flags);
+        let mut reference = build(&flags);
         let mut allowed = 0u64;
         for (i, op) in ops.iter().enumerate() {
-            let a = step(&mut on, *op);
-            let b = step(&mut off, *op);
+            let a = step(&mut cached, *op, false);
+            let b = step(&mut reference, *op, true);
             if matches!(a, Some(Ok(()))) {
                 allowed += 1;
             }
@@ -146,16 +168,16 @@ proptest! {
         // Page tables (A/D bits included) must end byte-identical: the
         // TLB's dirty-promotion walk is the only path that may skip table
         // stores, and it must not lose any.
-        let root = on.cpus[0].cr3;
+        let root = cached.cpus[0].cr3;
         for va in VAS {
-            let l_on = paging::lookup_raw(&on.mem, root, VirtAddr(va)).unwrap();
-            let l_off = paging::lookup_raw(&off.mem, root, VirtAddr(va)).unwrap();
-            prop_assert_eq!(l_on, l_off, "PTE state diverged at {va:#x}");
+            let l_cached = paging::lookup_raw(&cached.mem, root, VirtAddr(va)).unwrap();
+            let l_ref = paging::lookup_raw(&reference.mem, root, VirtAddr(va)).unwrap();
+            prop_assert_eq!(l_cached, l_ref, "PTE state diverged at {va:#x}");
         }
         // Sanity: every allowed access went through the TLB path on the
-        // enabled machine (hit or counted miss); the disabled one never
+        // cached machine (hit or counted miss); the reference never
         // touched it.
-        prop_assert_eq!(on.stats.tlb_hits + on.stats.tlb_misses, allowed);
-        prop_assert_eq!(off.stats.tlb_hits + off.stats.tlb_misses, 0);
+        prop_assert_eq!(cached.stats.tlb_hits + cached.stats.tlb_misses, allowed);
+        prop_assert_eq!(reference.stats.tlb_hits + reference.stats.tlb_misses, 0);
     }
 }

@@ -3,7 +3,12 @@
 //! fires) next to a clean snapshot (asserting none do), and the
 //! happens-before race detector is shown reproducing the hand-written
 //! stale-TLB attack from `tests/tlb_shootdown.rs` unprompted, from the
-//! machine trace alone.
+//! machine trace alone. Every corrupted snapshot is also audited by the
+//! exhaustive oracle in `support/audit_oracle.rs`, which the memoised
+//! walk must match finding for finding.
+
+#[path = "support/audit_oracle.rs"]
+mod audit_oracle;
 
 use erebor::eanalyze::{detect_races, Finding};
 use erebor::ecore::emc::{EmcRequest, EmcResponse};
@@ -15,7 +20,7 @@ use erebor::ehw::isolation::BackendKind;
 use erebor::ehw::layout;
 use erebor::ehw::paging::{self, intermediate_for, map_raw, Pte, PteFlags};
 use erebor::ehw::regs::Cr0;
-use erebor::ehw::{CpuMode, Frame, VirtAddr};
+use erebor::ehw::{CpuMode, Frame, PhysAddr, VirtAddr};
 use erebor::{Mode, Platform, TraceEvent, TraceRecord};
 
 /// A kernel-half VA far from anything boot maps (text, data, direct map).
@@ -50,6 +55,13 @@ fn for_both_backends(body: impl Fn(&mut Platform)) {
     }
 }
 
+/// Audit `p`, holding the memoised walk to the exhaustive oracle.
+fn audited(p: &Platform) -> Vec<Finding> {
+    let report = p.audit();
+    audit_oracle::assert_agrees(p, &report);
+    report.findings
+}
+
 fn only_check(findings: &[Finding], check: &str) {
     assert!(
         findings.iter().any(|f| f.check == check),
@@ -69,6 +81,7 @@ fn only_check(findings: &[Finding], check: &str) {
 fn boot_snapshot_audits_clean() {
     for_both_backends(|p| {
         let report = p.audit();
+        audit_oracle::assert_agrees(p, &report);
         assert!(report.is_clean(), "{}", report.json());
         assert!(report.roots_walked >= 1);
         assert!(report.leaf_mappings > 0);
@@ -119,7 +132,7 @@ fn c1_writable_executable_mapping_is_flagged() {
             intermediate_for(PteFlags::kernel_rw(0)),
         )
         .expect("map");
-        only_check(&p.audit().findings, "wx-exclusive");
+        only_check(&audited(p), "wx-exclusive");
     });
 }
 
@@ -146,7 +159,7 @@ fn c2_monitor_frame_under_default_key_is_flagged() {
             intermediate_for(PteFlags::kernel_ro(0)),
         )
         .expect("map");
-        only_check(&p.audit().findings, "pkey-tagging");
+        only_check(&audited(p), "pkey-tagging");
     });
 }
 
@@ -182,7 +195,7 @@ fn c2_confined_frame_with_wrong_domain_tag_is_flagged() {
             intermediate_for(PteFlags::kernel_ro(0)),
         )
         .expect("map");
-        let findings = p.audit().findings;
+        let findings = audited(p);
         assert!(
             findings
                 .iter()
@@ -232,7 +245,7 @@ fn c3_confined_frame_reachable_from_kernel_root_is_flagged() {
             intermediate_for(PteFlags::user_ro()),
         )
         .expect("map");
-        only_check(&p.audit().findings, "confined-unreachable");
+        only_check(&audited(p), "confined-unreachable");
     });
     for_both_backends(|p| {
         // A supervisor alias normal mode can read: the kernel reading
@@ -252,7 +265,7 @@ fn c3_confined_frame_reachable_from_kernel_root_is_flagged() {
             intermediate_for(PteFlags::kernel_ro(0)),
         )
         .expect("map");
-        let findings = p.audit().findings;
+        let findings = audited(p);
         assert!(
             findings.iter().any(|f| f.check == "confined-unreachable"),
             "supervisor alias must be flagged: {findings:?}"
@@ -301,7 +314,7 @@ fn c4_writable_shadow_stack_frame_is_flagged() {
             intermediate_for(PteFlags::kernel_rw(0)),
         )
         .expect("map");
-        only_check(&p.audit().findings, "sstk-protected");
+        only_check(&audited(p), "sstk-protected");
     });
 }
 
@@ -321,7 +334,7 @@ fn c5_idt_vector_rewritten_into_kernel_half_is_flagged() {
             VirtAddr(layout::KERNEL_BASE.0 + 0x100),
         )
         .expect("backdoor IDT store");
-        only_check(&p.audit().findings, "control-transfer");
+        only_check(&audited(p), "control-transfer");
     });
 }
 
@@ -329,7 +342,7 @@ fn c5_idt_vector_rewritten_into_kernel_half_is_flagged() {
 fn c6_cleared_wp_is_flagged() {
     for_both_backends(|p| {
         p.cvm.machine.cpus[1].cr0 = Cr0(Cr0::PG); // WP off under paging
-        only_check(&p.audit().findings, "msr-pinning");
+        only_check(&audited(p), "msr-pinning");
     });
 }
 
@@ -346,7 +359,7 @@ fn c7_shared_device_frame_still_private_is_flagged() {
             .set_kind(f, FrameKind::SharedDevice)
             .expect("typed");
         p.cvm.tdx.sept.accept_private(f);
-        only_check(&p.audit().findings, "sept-consistency");
+        only_check(&audited(p), "sept-consistency");
     });
 }
 
@@ -365,7 +378,7 @@ fn c8_stale_tlb_entry_after_backdoor_unmap_is_flagged() {
             .expect("walk")
             .expect("leaf");
         p.cvm.machine.mem.write_u64(slot, 0).expect("backdoor store");
-        only_check(&p.audit().findings, "ledger-consistency");
+        only_check(&audited(&p), "ledger-consistency");
     }
 }
 
@@ -374,18 +387,416 @@ fn c8_confined_frame_the_sandbox_does_not_own_is_flagged() {
     for_both_backends(|p| {
         // Dropped from the owner's list: no kill would ever release it.
         let (id, _) = sandbox_with_confined_page(p);
-        assert!(p.audit().is_clean());
+        assert!(audited(p).is_empty());
         let sandbox = p.cvm.monitor.sandboxes.get_mut(&id.0).expect("sandbox");
         sandbox.confined.clear();
-        only_check(&p.audit().findings, "ledger-consistency");
+        only_check(&audited(p), "ledger-consistency");
     });
     for_both_backends(|p| {
         // Owner marked dead without its teardown running.
         let (id, _) = sandbox_with_confined_page(p);
         let sandbox = p.cvm.monitor.sandboxes.get_mut(&id.0).expect("sandbox");
         sandbox.state = erebor::ecore::sandbox::SandboxState::Dead;
-        only_check(&p.audit().findings, "ledger-consistency");
+        only_check(&audited(p), "ledger-consistency");
     });
+}
+
+// ====================================================================
+// The memoised walk: shared subtrees, per-root verdicts
+// ====================================================================
+
+/// Every root the audit walks, sorted: the kernel root, registered
+/// address spaces and sandbox roots.
+fn audited_roots(p: &Platform) -> Vec<u64> {
+    let mon = &p.cvm.monitor;
+    let mut roots: Vec<u64> = mon.address_space_roots().iter().map(|r| r.0).collect();
+    roots.extend(mon.sandboxes.values().map(|s| s.root.0));
+    roots.sort_unstable();
+    roots.dedup();
+    roots
+}
+
+/// The hex number following `key` in a finding's detail (`"root 0x"`,
+/// `"va 0x"`).
+fn hex_after(detail: &str, key: &str) -> u64 {
+    let hex = detail
+        .split(key)
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("no {key:?} in {detail}"));
+    u64::from_str_radix(hex, 16).expect("hex field")
+}
+
+/// The roots named by the `check` findings whose detail starts with
+/// `text`, in emission order.
+fn roots_named(findings: &[Finding], check: &str, text: &str) -> Vec<u64> {
+    findings
+        .iter()
+        .filter(|f| f.check == check && f.detail.starts_with(text))
+        .map(|f| hex_after(&f.detail, "root 0x"))
+        .collect()
+}
+
+/// The slot of `va`'s entry at `level` (4 = PML4) under `root`.
+fn entry_slot(p: &Platform, root: Frame, va: VirtAddr, level: u8) -> PhysAddr {
+    let mut tbl = root;
+    for l in (level + 1..=4).rev() {
+        let raw = p.cvm.machine.mem.read_u64(paging::pte_slot(tbl, va, l)).expect("slot");
+        assert!(Pte(raw).present(), "level-{l} entry for {va:?} present");
+        tbl = Pte(raw).frame();
+    }
+    paging::pte_slot(tbl, va, level)
+}
+
+fn read_pte(p: &Platform, slot: PhysAddr) -> Pte {
+    Pte(p.cvm.machine.mem.read_u64(slot).expect("slot"))
+}
+
+fn write_pte(p: &mut Platform, slot: PhysAddr, pte: Pte) {
+    p.cvm.machine.mem.write_u64(slot, pte.0).expect("backdoor store");
+}
+
+fn create_address_space(p: &mut Platform, asid: u32) -> Frame {
+    match p.cvm.monitor.emc(
+        &mut p.cvm.machine,
+        &mut p.cvm.tdx,
+        0,
+        EmcRequest::CreateAddressSpace { asid },
+    ) {
+        Ok(EmcResponse::Root(r)) => r,
+        other => panic!("create address space: {other:?}"),
+    }
+}
+
+/// A present, writable, executable user leaf: the W^X violation C1
+/// names once per root that reaches it with both rights intact.
+fn wx_user() -> PteFlags {
+    PteFlags {
+        present: true,
+        writable: true,
+        user: true,
+        ..PteFlags::default()
+    }
+}
+
+const WX_TEXT: &str = "writable+executable leaf: ";
+
+/// C3 depends on the root: a live sandbox's confined frame aliased,
+/// normal-readable, into a shared kernel-half subtree is reachable from
+/// every root that shares it except the owner's. Checked twice: once
+/// with the kernel root walking the subtree first, once with the owner's
+/// root walking it first, so a verdict taken from whichever root stored
+/// the subtree is wrong in one case or the other.
+#[test]
+fn c3_fires_under_every_sharing_root_but_the_owners() {
+    for_both_backends(|p| {
+        let (id, f) = sandbox_with_confined_page(p);
+        for _ in 0..2 {
+            p.cvm
+                .monitor
+                .create_sandbox(&mut p.cvm.machine, 0, 4)
+                .expect("create sandbox");
+        }
+        let owner = p.cvm.monitor.sandboxes.get(&id.0).expect("owner").root.0;
+        // Through the kernel root's own kernel half, which every root
+        // links: the kernel root (frame 0) walks it first.
+        map_raw(
+            &mut p.cvm.machine.mem,
+            p.cvm.monitor.kernel_root,
+            SCRATCH_VA,
+            Pte::encode(f, PteFlags::kernel_ro(policy::PK_DEFAULT)),
+            intermediate_for(PteFlags::kernel_ro(0)),
+        )
+        .expect("map");
+        let findings = audited(p);
+        let mut want = audited_roots(p);
+        assert_eq!(want.first(), Some(&p.cvm.monitor.kernel_root.0), "kernel root sorts first");
+        want.retain(|&r| r != owner);
+        assert_eq!(roots_named(&findings, "confined-unreachable", ""), want, "{findings:#?}");
+    });
+    for_both_backends(|p| {
+        let (id, f) = sandbox_with_confined_page(p);
+        let owner = p.cvm.monitor.sandboxes.get(&id.0).expect("owner").root;
+        let others: Vec<Frame> = (0..2)
+            .map(|_| {
+                let other = p
+                    .cvm
+                    .monitor
+                    .create_sandbox(&mut p.cvm.machine, 0, 4)
+                    .expect("create sandbox");
+                p.cvm.monitor.sandboxes.get(&other.0).expect("live").root
+            })
+            .collect();
+        assert!(others.iter().all(|r| r.0 > owner.0), "owner's root sorts first");
+        // A fresh kernel-half subtree linked into the sandbox roots only,
+        // built under the owner's root: of the roots that reach it, the
+        // owner's walks it first.
+        let free = (256..512u64)
+            .map(|idx| VirtAddr(0xffff_0000_0000_0000 | idx << 39))
+            .find(|&va| !read_pte(p, entry_slot(p, p.cvm.monitor.kernel_root, va, 4)).present())
+            .expect("a free kernel-half PML4 slot");
+        map_raw(
+            &mut p.cvm.machine.mem,
+            owner,
+            free,
+            Pte::encode(f, PteFlags::kernel_ro(policy::PK_DEFAULT)),
+            intermediate_for(PteFlags::kernel_ro(0)),
+        )
+        .expect("map");
+        let link = read_pte(p, entry_slot(p, owner, free, 4));
+        for &other in &others {
+            let slot = entry_slot(p, other, free, 4);
+            write_pte(p, slot, link);
+        }
+        let findings = audited(p);
+        let want: Vec<u64> = others.iter().map(|r| r.0).collect();
+        assert_eq!(roots_named(&findings, "confined-unreachable", ""), want, "{findings:#?}");
+    });
+}
+
+/// The memo key carries the inherited rights: three roots share one L3
+/// table holding a writable, executable user leaf, one through a plain
+/// PML4 entry, one through a read-only entry and one through an NX
+/// entry. Only the first reaches the leaf as W+X.
+#[test]
+fn a_shared_l3_keeps_each_roots_inherited_rights() {
+    for plain in [0, 2] {
+        // Each order: the plain root walking the shared table first, and
+        // walking it last.
+        let mut p = booted();
+        p.enter_kernel_mode();
+        let roots: Vec<Frame> = (0..3).map(|i| create_address_space(&mut p, 80 + i)).collect();
+        let f = p.cvm.machine.mem.alloc_frame().expect("frame");
+        map_raw(
+            &mut p.cvm.machine.mem,
+            roots[plain],
+            USER_VA,
+            Pte::encode(f, wx_user()),
+            intermediate_for(PteFlags::user_rw()),
+        )
+        .expect("map");
+        let link = read_pte(&p, entry_slot(&p, roots[plain], USER_VA, 4));
+        let mut nx = link.flags();
+        nx.nx = true;
+        let others: Vec<Frame> = roots.iter().copied().filter(|r| *r != roots[plain]).collect();
+        let slot = entry_slot(&p, others[0], USER_VA, 4);
+        write_pte(&mut p, slot, link.read_only());
+        let slot = entry_slot(&p, others[1], USER_VA, 4);
+        write_pte(&mut p, slot, Pte::encode(link.frame(), nx));
+        let findings = audited(&p);
+        assert_eq!(roots_named(&findings, "wx-exclusive", WX_TEXT), vec![roots[plain].0], "{findings:#?}");
+    }
+}
+
+/// The memo key carries the VA prefix: one L1 table linked at two L2
+/// slots of one root is walked at each, and its leaf is reported at
+/// both virtual addresses.
+#[test]
+fn one_table_at_two_vas_is_reported_at_each() {
+    let mut p = booted();
+    p.enter_kernel_mode();
+    let root = create_address_space(&mut p, 90);
+    let f = p.cvm.machine.mem.alloc_frame().expect("frame");
+    map_raw(
+        &mut p.cvm.machine.mem,
+        root,
+        USER_VA,
+        Pte::encode(f, wx_user()),
+        intermediate_for(PteFlags::user_rw()),
+    )
+    .expect("map");
+    let twin = VirtAddr(USER_VA.0 + (1 << 21));
+    let link = read_pte(&p, entry_slot(&p, root, USER_VA, 2));
+    let slot = entry_slot(&p, root, twin, 2);
+    assert!(!read_pte(&p, slot).present(), "twin slot starts empty");
+    write_pte(&mut p, slot, link);
+    let findings = audited(&p);
+    let vas: Vec<u64> = findings
+        .iter()
+        .filter(|f| f.detail.starts_with(WX_TEXT))
+        .map(|f| hex_after(&f.detail, "va 0x"))
+        .collect();
+    // Children are walked from the highest index down.
+    assert_eq!(vas, vec![twin.0, USER_VA.0], "{findings:#?}");
+}
+
+/// Seeded raw corruption of a platform with ten sandbox roots (eight
+/// live, two dead): flipped rights and keys, cleared present bits,
+/// entries re-pointed at another table of the same level, retyped
+/// frames, fresh confined aliases and planted writable+executable
+/// leaves (whose C1 findings name each path's VA and rights). After every corruption the
+/// memoised audit must match the exhaustive oracle finding for finding.
+#[test]
+fn memoised_audit_matches_the_oracle_under_seeded_corruption() {
+    use erebor_testkit::rng::TestRng;
+    use erebor_workloads::hello::HelloWorld;
+    for seed in [1u64, 2, 3] {
+        let mut p = booted_with(BackendKind::TmeMk);
+        let mut live = Vec::new();
+        for i in 0..10 {
+            let svc = p.deploy(Box::new(HelloWorld { len: 4 }), 4096).expect("deploy");
+            if i < 2 {
+                p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, svc.sandbox, "campaign");
+            } else {
+                live.push(svc.sandbox.0);
+            }
+        }
+        assert!(audited(&p).is_empty(), "clean before corruption");
+        let mut rng = TestRng::seed_from_u64(seed);
+        for step in 0..24 {
+            corrupt(&mut p, &mut rng, &live);
+            let report = p.audit();
+            audit_oracle::assert_agrees(&p, &report);
+            if step == 23 {
+                assert!(!report.is_clean(), "seed {seed}: the campaign corrupts something");
+            }
+        }
+    }
+}
+
+/// Present entry slots and table frames, each indexed by level and
+/// deduplicated, over every audited root.
+fn inventory(p: &Platform) -> ([Vec<PhysAddr>; 5], [Vec<Frame>; 5]) {
+    use std::collections::BTreeSet;
+    let mut entries: [BTreeSet<u64>; 5] = Default::default();
+    let mut tables: [BTreeSet<u64>; 5] = Default::default();
+    let mut stack: Vec<(Frame, u8)> = audited_roots(p).into_iter().map(|r| (Frame(r), 4)).collect();
+    while let Some((tbl, level)) = stack.pop() {
+        if !tables[level as usize].insert(tbl.0) {
+            continue;
+        }
+        for idx in 0..512u64 {
+            let slot = PhysAddr(tbl.base().0 + idx * 8);
+            let Ok(raw) = p.cvm.machine.mem.read_u64(slot) else {
+                continue;
+            };
+            if Pte(raw).present() {
+                entries[level as usize].insert(slot.0);
+                if level > 1 {
+                    stack.push((Pte(raw).frame(), level - 1));
+                }
+            }
+        }
+    }
+    (
+        entries.map(|e| e.into_iter().map(PhysAddr).collect()),
+        tables.map(|t| t.into_iter().map(Frame).collect()),
+    )
+}
+
+/// Apply one seeded raw corruption to an entry at a level drawn
+/// uniformly (leaves vastly outnumber table entries).
+fn corrupt(p: &mut Platform, rng: &mut erebor_testkit::rng::TestRng, live: &[u32]) {
+    let (entries, tables) = inventory(p);
+    let pick = |rng: &mut erebor_testkit::rng::TestRng, n: usize| rng.below(n as u64) as usize;
+    let level = 1 + rng.below(4) as u8;
+    let at_level = &entries[level as usize];
+    let slot = at_level[pick(rng, at_level.len())];
+    let pte = read_pte(p, slot);
+    match rng.below(6) {
+        0 => {
+            let mut flags = pte.flags();
+            match rng.below(4) {
+                0 => flags.writable = !flags.writable,
+                1 => flags.user = !flags.user,
+                2 => flags.nx = !flags.nx,
+                _ => flags.pkey = rng.below(16) as u8,
+            }
+            write_pte(p, slot, Pte::encode(pte.frame(), flags).with_keyid(pte.keyid()));
+        }
+        1 => write_pte(p, slot, Pte::empty()),
+        2 if level > 1 => {
+            let same = &tables[level as usize - 1];
+            let target = same[pick(rng, same.len())];
+            write_pte(p, slot, Pte::encode(target, pte.flags()).with_keyid(pte.keyid()));
+        }
+        3 if level == 1 => {
+            let kinds = [
+                FrameKind::Confined {
+                    sandbox: live[pick(rng, live.len())],
+                },
+                FrameKind::Confined { sandbox: 99 },
+                FrameKind::ShadowStack,
+                FrameKind::Monitor,
+                FrameKind::UserAnon { asid: 1 },
+                FrameKind::SharedDevice,
+            ];
+            let f = pte.frame();
+            p.cvm.monitor.frames.release(f).expect("in range");
+            let kind = kinds[pick(rng, kinds.len())];
+            p.cvm.monitor.frames.set_kind(f, kind).expect("retype");
+        }
+        4 => {
+            let l1 = &tables[1];
+            let tbl = l1[pick(rng, l1.len())];
+            let slot = PhysAddr(tbl.base().0 + rng.below(512) * 8);
+            let f = p.cvm.machine.mem.alloc_frame().expect("frame");
+            let flags = PteFlags {
+                user: rng.below(2) == 0,
+                ..wx_user()
+            };
+            write_pte(p, slot, Pte::encode(f, flags));
+        }
+        _ => {
+            let confined: Vec<Frame> = p.cvm.monitor.frames.confined().map(|(f, _)| f).collect();
+            let roots = audited_roots(p);
+            let root = Frame(roots[pick(rng, roots.len())]);
+            let page = rng.below(64) << 12;
+            let (va, flags) = if rng.below(2) == 0 {
+                (VirtAddr(USER_VA.0 + page), PteFlags::user_ro())
+            } else {
+                (VirtAddr(SCRATCH_VA.0 + page), PteFlags::kernel_ro(policy::PK_DEFAULT))
+            };
+            map_raw(
+                &mut p.cvm.machine.mem,
+                root,
+                va,
+                Pte::encode(confined[pick(rng, confined.len())], flags),
+                intermediate_for(flags),
+            )
+            .ok();
+        }
+    }
+}
+
+/// Audit work scales with distinct page-table pages, not with roots ×
+/// the kernel half: 64 resident sandboxes plus 32 deploy/kill cycles,
+/// whose dead roots stay registered, cost at most the boot audit plus a
+/// per-root allowance for each root's own tables. A walk that re-reads
+/// the shared kernel half (about 76 tables) under every root exceeds the
+/// allowance ninefold.
+#[test]
+fn audit_work_scales_with_distinct_tables() {
+    use erebor_workloads::hello::HelloWorld;
+    /// Page-table pages a deployed HelloWorld sandbox owns (its PML4 and
+    /// one user L3, L2 and L1: 4, measured), doubled for headroom.
+    const PER_ROOT_TABLES: u64 = 8;
+    let mut p = booted_with(BackendKind::TmeMk);
+    let boot = p.audit();
+    for _ in 0..64 {
+        p.deploy(Box::new(HelloWorld { len: 4 }), 4096).expect("resident");
+    }
+    for _ in 0..32 {
+        let svc = p.deploy(Box::new(HelloWorld { len: 4 }), 4096).expect("churn");
+        p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, svc.sandbox, "churn");
+    }
+    let report = p.audit();
+    assert!(report.is_clean(), "{}", report.json());
+    assert_eq!(
+        report.roots_walked, 97,
+        "kernel root, 64 residents, 32 dead roots (still registered: ROADMAP item 6)"
+    );
+    let bound = boot.pte_reads + report.roots_walked * PER_ROOT_TABLES * 512;
+    assert!(
+        report.pte_reads <= bound,
+        "audit read {} PTEs over {} roots; bound {bound}",
+        report.pte_reads,
+        report.roots_walked
+    );
+    assert!(
+        report.leaf_mappings >= report.roots_walked * boot.leaf_mappings,
+        "leaf_mappings still counts (root, leaf) pairs"
+    );
 }
 
 // ====================================================================
@@ -437,15 +848,7 @@ fn platform_with_user_page() -> (Platform, Frame) {
 fn platform_with_user_page_on(backend: BackendKind) -> (Platform, Frame) {
     let mut p = booted_with(backend);
     p.enter_kernel_mode();
-    let root = match p.cvm.monitor.emc(
-        &mut p.cvm.machine,
-        &mut p.cvm.tdx,
-        0,
-        EmcRequest::CreateAddressSpace { asid: 77 },
-    ) {
-        Ok(EmcResponse::Root(r)) => r,
-        other => panic!("create address space: {other:?}"),
-    };
+    let root = create_address_space(&mut p, 77);
     p.cvm
         .monitor
         .emc(

@@ -1,8 +1,8 @@
 //! Integration tests for the isolation-backend seam: the PKS capacity
 //! boundary (typed exhaustion, domain recycling), the TME-MK keyed
 //! backend confining hundreds of sandboxes in one address space, and the
-//! kill-teardown fence (alias retag + domain revocation) with its
-//! ablation showing exactly what breaks without it.
+//! kill-teardown fence (alias retag + domain revocation), next to the
+//! key-space exhaustion a leaked domain compounds into.
 
 use erebor::ecore::emc::{EmcError, EmcRequest};
 use erebor::ehw::cpu::Domain;
@@ -161,7 +161,7 @@ fn keyed_backend_confines_256_sandboxes() {
 }
 
 // ====================================================================
-// Satellite: the kill-teardown fence and its ablation
+// The kill-teardown fence
 // ====================================================================
 
 /// Create a sandbox with *zero* confined pages (so teardown issues no
@@ -169,9 +169,8 @@ fn keyed_backend_confines_256_sandboxes() {
 /// on the sandbox's CR3 with a cached translation under it, then kill
 /// the sandbox. Returns whether core 1 still holds that TLB entry and
 /// the live-domain counts before and after the kill.
-fn kill_with_fence(kill_fence: bool) -> (bool, u16, u16) {
+fn kill_under_a_cached_victim() -> (bool, u16, u16) {
     let mut p = booted_with(BackendKind::Pks);
-    p.cvm.monitor.kill_fence = kill_fence;
     p.enter_kernel_mode();
     let id = p
         .cvm
@@ -210,36 +209,23 @@ fn kill_with_fence(kill_fence: bool) -> (bool, u16, u16) {
     )
 }
 
-/// Red half: with the fence ablated, a zero-confined-page kill issues no
-/// shootdown — core 1 still holds a live TLB entry for the dead
-/// sandbox's CR3 — and the isolation domain is never revoked.
-#[test]
-fn kill_without_fence_leaves_stale_decisions_and_leaks_the_domain() {
-    let (stale_entry, live_before, live_after) = kill_with_fence(false);
-    assert!(
-        stale_entry,
-        "core 1 still caches a translation under the dead CR3"
-    );
-    assert_eq!(live_after, live_before, "the domain leaked");
-}
-
-/// Green half: the fence revokes the domain. It is not a TLB operation:
-/// the entry under the dead CR3 stays until core 1's next CR3 load
-/// flushes it, exactly as with the fence ablated.
+/// The fence revokes the domain. It is not a TLB operation: the entry
+/// under the dead CR3 stays until core 1's next CR3 load flushes it.
 #[test]
 fn kill_fence_frees_the_domain() {
-    let (stale_entry, live_before, live_after) = kill_with_fence(true);
+    let (stale_entry, live_before, live_after) = kill_under_a_cached_victim();
     assert!(stale_entry, "the fence leaves TLBs to the next CR3 load");
     assert_eq!(live_after, live_before - 1, "domain revoked");
 }
 
-/// The leak compounds: without the fence, PKS create/kill churn runs the
-/// key space dry even though at most one sandbox is ever alive. With the
-/// fence, the same churn runs indefinitely.
+/// The leak compounds: a kill that left its domain allocated (the state
+/// a fence-less teardown leaves, built here by re-taking the freed
+/// domain) makes PKS create/kill churn run the key space dry even though
+/// at most one sandbox is ever alive. With the fence, the same churn runs
+/// indefinitely.
 #[test]
 fn churn_without_fence_exhausts_pks_domains() {
     let mut p = booted_with(BackendKind::Pks);
-    p.cvm.monitor.kill_fence = false;
     p.enter_kernel_mode();
     for _ in 0..10 {
         let id = p
@@ -247,7 +233,10 @@ fn churn_without_fence_exhausts_pks_domains() {
             .monitor
             .create_sandbox(&mut p.cvm.machine, 0, 4)
             .expect("pre-exhaustion create");
+        let domain = p.cvm.monitor.sandboxes.get(&id.0).expect("live").domain;
         p.cvm.monitor.kill_sandbox(&mut p.cvm.machine, id, "churn");
+        let leaked = p.cvm.monitor.backend.alloc_domain().expect("freed domain");
+        assert_eq!(leaked, domain, "the kill freed exactly this domain");
     }
     let err = p
         .cvm

@@ -537,7 +537,8 @@ fn source_refuses_unattested_destination() {
 
 /// The monitor section carries a layout version; a section written at
 /// any earlier layout (version 2 still carried the lookup-mode flag and
-/// the cpuid MRU slot) is refused typed, never half-parsed.
+/// the cpuid MRU slot, version 3 the kill-fence switch) is refused typed,
+/// never half-parsed.
 #[test]
 fn monitor_section_at_the_old_version_is_refused() {
     use erebor::ecore::monitor::{Monitor, MONITOR_STATE_VERSION};
